@@ -66,7 +66,7 @@ _LAYOUTS = {
 _SPAWNED_PRESETS = {"team5x4": (5, 4), "team25x10": (25, 10)}
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outputs, timings, deterministic=True):
+def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outputs, timings):
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
@@ -75,7 +75,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outpu
         },
         "outputs": outputs,
         "version": __version__,
-        "deterministic": deterministic,
+        "deterministic": True,  # constant; kept for readers of older manifests
         "timings_s": timings,
     }
     (out_dir / "manifest.json").write_text(
@@ -232,9 +232,7 @@ def cmd_simulate(args) -> int:
     )
     t0 = time.perf_counter()
     try:
-        timeline = run_simulation(
-            scenario, weights, cfg, mode=args.mode, pre_optimize=not args.no_pre_optimize
-        )
+        timeline = run_simulation(scenario, weights, cfg, pre_optimize=not args.no_pre_optimize)
         failed = False
     except (SimulationError, AscentError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -260,10 +258,7 @@ def cmd_simulate(args) -> int:
             )
             outputs["svg"] = str(out / "utility.svg")
         print(f"snapshots: {timeline.num_snapshots}  final utility: {timeline.states[-1].phi:.6f}")
-    _write_manifest(
-        out, "simulate", args, outputs, {"run": run_s},
-        deterministic=(args.mode == "lockstep"),
-    )
+    _write_manifest(out, "simulate", args, outputs, {"run": run_s})
     return EXIT_SOLVER if failed else EXIT_OK
 
 
@@ -410,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accel-std", type=float, default=0.01)
     p.add_argument("--box", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["lockstep", "async"], default="lockstep")
     p.add_argument("--pin-task", type=int, action="append", help="task index held fixed (repeatable)")
     p.add_argument("--no-pre-optimize", action="store_true")
     p.add_argument("--svg", action="store_true")

@@ -2,19 +2,14 @@
 
 Task agents follow a random-acceleration model inside a square box,
 bouncing off its walls; relay agents chase the shadow-price climb
-direction under a hard speed cap.  In lockstep mode every tick solves
-the flow problem at the tick's exact snapshot, which makes runs fully
-reproducible from the seed.  In async mode a separate solver thread
-works on the latest snapshot while the clock advances in real time and
-relays coast on the most recent finished direction; async runs are not
-deterministic and are meant for demonstration only.
+direction under a hard speed cap.  The simulation runs in lockstep:
+every tick solves the flow problem at the tick's exact snapshot before
+anything moves, so a run is fully reproducible from its seed.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import time as _time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -86,8 +81,6 @@ class SimState:
 class SimTimeline:
     states: list
     box_side: float
-    mode: str
-    deterministic: bool
 
     @property
     def num_snapshots(self) -> int:
@@ -121,8 +114,10 @@ class SimTimeline:
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
-            "deterministic": self.deterministic,
+            # constant keys, kept so readers of older timeline files
+            # need no change
+            "mode": "lockstep",
+            "deterministic": True,
             "box_side": self.box_side,
             "snapshots": [
                 {
@@ -212,7 +207,6 @@ def run_simulation(
     scenario: Scenario,
     weights,
     cfg: MotionConfig,
-    mode: str = "lockstep",
     pre_optimize: bool = True,
     ascent_config: Optional[AscentConfig] = None,
     opts: Optional[SolverOptions] = None,
@@ -224,25 +218,19 @@ def run_simulation(
     direction while task agents drift.  A run of T seconds at step dt
     yields round(T/dt) + 1 snapshots including the initial one.
     """
-    if mode not in ("lockstep", "async"):
-        raise ValueError(f"unknown mode {mode!r}")
     w = validate_weights(weights, len(scenario.commodities))
     box_side = cfg.box_size if cfg.box_size is not None else area_side(scenario.num_task)
     if np.any(scenario.task_positions < 0) or np.any(scenario.task_positions > box_side):
         raise ValueError("task agents must start inside the navigation box")
-    if cfg.pinned_tasks and max(cfg.pinned_tasks) >= scenario.num_task:
+    if cfg.pinned_tasks and (
+        min(cfg.pinned_tasks) < 0 or max(cfg.pinned_tasks) >= scenario.num_task
+    ):
         raise ValueError("pinned task index out of range")
 
     if pre_optimize and scenario.num_relay:
         trace = ascend(scenario, w, ascent_config, opts)
         scenario = scenario.with_relay_positions(trace.final_relay_positions)
 
-    if mode == "lockstep":
-        return _run_lockstep(scenario, w, cfg, box_side, opts)
-    return _run_async(scenario, w, cfg, box_side, opts)
-
-
-def _run_lockstep(scenario, w, cfg, box_side, opts) -> SimTimeline:
     rng = np.random.default_rng(cfg.rng_seed)
     task_pos = scenario.task_positions.copy()
     task_vel = np.zeros_like(task_pos)
@@ -256,7 +244,7 @@ def _run_lockstep(scenario, w, cfg, box_side, opts) -> SimTimeline:
         try:
             sol = solve_mcfp(build_instance(current, w), opts)
         except McfpSolveError as exc:
-            timeline = SimTimeline(states, box_side, "lockstep", deterministic=True)
+            timeline = SimTimeline(states, box_side)
             raise SimulationError(f"solve failed at tick {tick}: {exc}", timeline) from exc
         directions = gradient_from_duals(sol, current)
         states.append(
@@ -274,78 +262,4 @@ def _run_lockstep(scenario, w, cfg, box_side, opts) -> SimTimeline:
         task_pos, task_vel = step_task(task_pos, task_vel, cfg, rng, box_side)
         relay_pos = step_relay(relay_pos, directions, cfg)
 
-    return SimTimeline(states, box_side, "lockstep", deterministic=True)
-
-
-def _run_async(scenario, w, cfg, box_side, opts) -> SimTimeline:
-    """Two-thread variant: the clock never waits for the solver.
-
-    The solver thread repeatedly grabs the most recent snapshot and
-    publishes (phi, directions) when done; relays move on whatever
-    direction is newest, which may lag several ticks on slow solves.
-    """
-    rng = np.random.default_rng(cfg.rng_seed)
-    task_pos = scenario.task_positions.copy()
-    task_vel = np.zeros_like(task_pos)
-    relay_pos = scenario.relay_positions.copy()
-
-    lock = threading.Lock()
-    latest_snapshot = {"task": task_pos.copy(), "relay": relay_pos.copy()}
-    latest_output = {"phi": np.nan, "directions": np.zeros_like(relay_pos)}
-    stop = threading.Event()
-    failure: list[Exception] = []
-
-    def solver_loop() -> None:
-        while not stop.is_set():
-            with lock:
-                snap_task = latest_snapshot["task"].copy()
-                snap_relay = latest_snapshot["relay"].copy()
-            current = Scenario(
-                snap_task, snap_relay, scenario.capacity_model, scenario.commodities
-            )
-            try:
-                sol = solve_mcfp(build_instance(current, w), opts)
-                directions = gradient_from_duals(sol, current)
-            except McfpSolveError as exc:  # surfaced after the run
-                failure.append(exc)
-                return
-            with lock:
-                latest_output["phi"] = sol.phi
-                latest_output["directions"] = directions
-
-    worker = threading.Thread(target=solver_loop, daemon=True)
-    worker.start()
-
-    states: list[SimState] = []
-    next_deadline = _time.monotonic()
-    for tick in range(cfg.num_steps + 1):
-        with lock:
-            latest_snapshot["task"] = task_pos.copy()
-            latest_snapshot["relay"] = relay_pos.copy()
-            phi = latest_output["phi"]
-            directions = latest_output["directions"].copy()
-        states.append(
-            SimState(
-                time=tick * cfg.dt,
-                task_positions=task_pos.copy(),
-                task_velocities=task_vel.copy(),
-                relay_positions=relay_pos.copy(),
-                directions=directions.copy(),
-                phi=phi,
-            )
-        )
-        if tick == cfg.num_steps or failure:
-            break
-        task_pos, task_vel = step_task(task_pos, task_vel, cfg, rng, box_side)
-        relay_pos = step_relay(relay_pos, directions, cfg)
-        next_deadline += cfg.dt
-        pause = next_deadline - _time.monotonic()
-        if pause > 0:
-            _time.sleep(pause)
-
-    stop.set()
-    worker.join(timeout=10.0)
-    timeline = SimTimeline(states, box_side, "async", deterministic=False)
-    if failure:
-        raise SimulationError(f"solver thread failed: {failure[0]}", timeline)
-    return timeline
+    return SimTimeline(states, box_side)

@@ -16,7 +16,10 @@ variables eliminated exactly through a small Schur complement (no
 primal regularization is needed for them).  Interior-point iterates
 converge to the analytic center of the optimal face, so when the dual
 optimum is not unique the reported duals are the centered ones, which
-is what a subgradient-style consumer wants.
+is what a subgradient-style consumer wants.  When progress stalls
+short of the target, as it can on degenerate problems, the problem is
+handed to the exact two-phase simplex engine in
+:mod:`relayflow.simplex`.
 
 Any callable with the signature ``engine(lp, options) -> LpResult`` can
 be plugged in through ``SolverOptions.engine``; an adapter around
@@ -103,7 +106,6 @@ class SolverOptions:
     feas_tol: float = 1e-8
     max_iters: int = 200
     engine: Optional[Callable] = None
-    verbose: bool = False
 
 
 @dataclass
@@ -285,112 +287,21 @@ def _result_from_iterate(lp, status, z, w, y, zl, zu, gap, iters, message=""):
     )
 
 
-def _attempt_polish(lp, z, s, w, y, zl, zu, has_lo, has_hi, target, iters):
-    """Snap a nearly-converged iterate onto its active set.
-
-    Interior-point iterates on degenerate problems level off around a
-    relative accuracy of 1e-6 in double precision.  Splitting rows and
-    bounds into active and inactive, then solving the resulting primal
-    and dual equality systems exactly (minimum-norm corrections, so the
-    centered dual selection survives), removes that floor:
-    complementarity becomes exact and slack rows carry exactly zero
-    price.  The initial split compares each slack against its
-    multiplier; a few repair rounds then toggle entries the polished
-    point itself disproves (negative multipliers, violated rows or
-    bounds).  The result is accepted only if the full KKT check clears
-    ``target``; otherwise the caller keeps the raw iterate.
-    """
-    n, m_in, m_eq = lp.num_vars, lp.num_ineq, lp.num_eq
-    gl = np.where(has_lo, z - lp.lo, np.inf)
-    gu = np.where(has_hi, lp.hi - z, np.inf)
-    act_row = (s < w) if m_in else np.zeros(0, dtype=bool)
-    at_lo = has_lo & (gl < zl)
-    at_hi = has_hi & (gu < zu) & ~at_lo
-
-    feas_eps = 1e-9 * (1.0 + float(np.max(np.abs(lp.b_ub), initial=0.0)))
-    sign_eps = 1e-7 * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
-
-    for _ in range(6):
-        fixed = at_lo | at_hi
-        free_vars = ~fixed
-        if not np.any(free_vars):
-            return None
-        z_pol = z.copy()
-        z_pol[at_lo] = lp.lo[at_lo]
-        z_pol[at_hi] = lp.hi[at_hi]
-
-        stacked = sp.vstack([lp.a_ub[act_row], lp.a_eq], format="csr")
-        k_mat = stacked[:, free_vars].toarray()
-        rhs_rows = np.concatenate([lp.b_ub[act_row], lp.b_eq]) - stacked @ z_pol
-        n_act = int(np.count_nonzero(act_row))
-        w_act = np.zeros(0)
-        y_pol = y.copy()
-        if k_mat.shape[0]:
-            dz = np.linalg.lstsq(k_mat, rhs_rows, rcond=None)[0]
-            z_pol[free_vars] += dz
-            duals0 = np.concatenate([w[act_row], y])
-            resid = lp.c[free_vars] - k_mat.T @ duals0
-            d_dual = np.linalg.lstsq(k_mat.T, resid, rcond=None)[0]
-            duals = duals0 + d_dual
-            w_act = duals[:n_act]
-            y_pol = duals[n_act:]
-
-        w_pol = np.zeros(m_in)
-        w_pol[act_row] = w_act
-        reduced = lp.c - lp.a_ub.T @ w_pol - lp.a_eq.T @ y_pol
-        zl_pol = np.zeros(n)
-        zu_pol = np.zeros(n)
-        zl_pol[at_lo] = reduced[at_lo]
-        zu_pol[at_hi] = -reduced[at_hi]
-
-        slack_all = (lp.b_ub - lp.a_ub @ z_pol) if m_in else np.zeros(0)
-        drop_rows = act_row & (np.abs(slack_all) > feas_eps)  # forced but unsatisfiable
-        drop_rows |= act_row & (w_pol < -sign_eps)
-        add_rows = ~act_row & (slack_all < -feas_eps)
-        unfix_lo = at_lo & (zl_pol < -sign_eps)
-        unfix_hi = at_hi & (zu_pol < -sign_eps)
-        fix_lo = free_vars & has_lo & (z_pol < lp.lo - feas_eps)
-        fix_hi = free_vars & has_hi & (z_pol > lp.hi + feas_eps)
-
-        if not (
-            np.any(drop_rows) or np.any(add_rows)
-            or np.any(unfix_lo) or np.any(unfix_hi)
-            or np.any(fix_lo) or np.any(fix_hi)
-        ):
-            candidate = _result_from_iterate(
-                lp, "optimal", z_pol,
-                np.maximum(w_pol, 0.0), y_pol,
-                np.maximum(zl_pol, 0.0), np.maximum(zu_pol, 0.0),
-                0.0, iters, "polished",
-            )
-            report = check_kkt(lp, candidate)
-            if report.max_residual > target:
-                return None
-            candidate.gap = report.gap
-            return candidate
-
-        act_row = (act_row & ~drop_rows) | add_rows
-        at_lo = (at_lo & ~unfix_lo) | fix_lo
-        at_hi = ((at_hi & ~unfix_hi) | fix_hi) & ~at_lo
-    return None
-
-
 def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
-    """Mehrotra predictor-corrector interior-point method with polishing.
+    """Mehrotra predictor-corrector interior-point method with a simplex endgame.
 
     Works on the minimization form internally; the duals it returns are
     already in the maximization convention of :class:`StandardFormLP`
     (identical algebra, no sign flips needed).  Aims one order of
-    magnitude below the requested tolerances, and when progress levels
-    off it snaps the iterate onto its active set (see
-    :func:`_attempt_polish`), which normally finishes the solve with
-    complementarity exact to machine precision.
+    magnitude below the requested tolerances.
 
-    Heavily degenerate problems can defeat both the iteration and the
-    polish; those are handed to the exact simplex engine
-    (:func:`relayflow.simplex.solve_simplex`) before giving up.  Every
-    returned point, whichever path produced it, satisfies the advertised
-    tolerances or carries a non-optimal status saying why not.
+    Degenerate problems can make progress level off near a relative
+    accuracy of 1e-6 in double precision; such a stall is handed to the
+    exact simplex engine (:func:`relayflow.simplex.solve_simplex`).  If
+    the simplex fails too, the best iterate is reported: as optimal when
+    it meets the requested tolerances, otherwise as ``iteration_limit``.
+    Every returned point, whichever path produced it, satisfies the
+    advertised tolerances or carries a non-optimal status saying why not.
     """
     opts = opts if opts is not None else SolverOptions()
     n, m_in, m_eq = lp.num_vars, lp.num_ineq, lp.num_eq
@@ -441,8 +352,6 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     progress_err = np.inf
     stall_count = 0
     eta = 0.9995
-    polish_tol = max(1e-11, min(opts.gap_tol, opts.feas_tol))
-    last_polish_err = np.inf
 
     for iteration in range(1, opts.max_iters + 1):
         gl = np.where(has_lo, z - lp.lo, 1.0)
@@ -473,12 +382,6 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
         rel_dinf = float(np.max(np.abs(r_d), initial=0.0)) / scale_obj
         err = max(rel_gap, rel_pinf, rel_dinf)
 
-        if opts.verbose:
-            print(
-                f"  it {iteration:3d} mu {mu:9.3e} gap {rel_gap:9.3e} "
-                f"pinf {rel_pinf:9.3e} dinf {rel_dinf:9.3e}"
-            )
-
         if err < 0.9 * progress_err:
             progress_err = err
             stall_count = 0
@@ -487,7 +390,7 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
         if err < best_err:
             best_err = err
             best = (
-                z.copy(), s.copy(), w.copy(), y.copy(), zl.copy(), zu.copy(),
+                z.copy(), w.copy(), y.copy(), zl.copy(), zu.copy(),
                 rel_gap, iteration - 1,
             )
 
@@ -496,18 +399,8 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
                 lp, "optimal", z, w, y, zl, zu, rel_gap, iteration - 1, "converged"
             )
 
-        if stall_count >= 6 and err <= 1e-4 and err < 0.5 * last_polish_err:
-            # progress has levelled off close to the optimum: try snapping
-            # onto the active set before grinding further
-            last_polish_err = err
-            polished = _attempt_polish(
-                lp, z, s, w, y, zl, zu, has_lo, has_hi, polish_tol, iteration - 1
-            )
-            if polished is not None:
-                return polished
-
         if stall_count >= 12:
-            break  # numerically stuck; hand over to polish or the simplex
+            break  # numerically stuck; hand over to the simplex
 
         if d_obj > _HUGE * scale_obj and rel_dinf <= 1e-4:
             return _result_from_iterate(
@@ -661,15 +554,10 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
         zl += a_d * dzl
         zu += a_d * dzu
 
-    # did not hit the tight target; try to polish the best iterate, then
-    # hand the problem to the exact simplex engine, then report honestly
+    # did not hit the tight target; hand the problem to the exact simplex
+    # engine, then report the best iterate honestly
     if best is not None:
-        z_b, s_b, w_b, y_b, zl_b, zu_b, gap_b, it_b = best
-        polished = _attempt_polish(
-            lp, z_b, s_b, w_b, y_b, zl_b, zu_b, has_lo, has_hi, polish_tol, it_b
-        )
-        if polished is not None:
-            return polished
+        z_b, w_b, y_b, zl_b, zu_b, gap_b, it_b = best
         from .simplex import solve_simplex
 
         rescue = solve_simplex(lp, opts)

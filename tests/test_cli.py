@@ -124,17 +124,14 @@ def test_simulate_snapshot_count_and_manifest(tmp_path):
     assert (out / "utility.svg").exists()
 
 
-def test_simulate_async_marked_nondeterministic(tmp_path):
+def test_simulate_rejects_negative_pin_task(tmp_path):
     sp = tmp_path / "team"
     main(["spawn", "--num-task", "3", "--num-relay", "1", "--seed", "2", "--out", str(sp)])
-    out = tmp_path / "sim_async"
     rc = main([
-        "simulate", "--scenario", str(sp / "scenario.json"), "--duration", "0.6",
-        "--mode", "async", "--no-pre-optimize", "--out", str(out),
+        "simulate", "--scenario", str(sp / "scenario.json"), "--duration", "0.4",
+        "--pin-task", "-1", "--no-pre-optimize", "--out", str(tmp_path / "sim"),
     ])
-    assert rc == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["deterministic"] is False
+    assert rc == EXIT_INPUT
 
 
 def test_bench_csv_format(tmp_path):

@@ -130,7 +130,6 @@ def test_lockstep_runs_are_byte_identical(mobile_scenario):
     a = run_simulation(mobile_scenario, np.ones(4), cfg)
     b = run_simulation(mobile_scenario, np.ones(4), cfg)
     assert a.to_csv() == b.to_csv()
-    assert a.deterministic
 
 
 def test_static_tasks_hold_utility_near_optimum(mobile_scenario):
@@ -153,14 +152,6 @@ def test_pinned_task_constant_through_run(mobile_scenario):
         np.testing.assert_array_equal(st.task_positions[1], first)
 
 
-def test_async_smoke(mobile_scenario):
-    cfg = MotionConfig(duration=0.6, dt=0.2, rng_seed=2)
-    timeline = run_simulation(mobile_scenario, np.ones(4), cfg, mode="async", pre_optimize=False)
-    assert timeline.num_snapshots == 4
-    assert timeline.mode == "async"
-    assert not timeline.deterministic
-
-
 def test_timeline_csv_shape(mobile_scenario):
     cfg = MotionConfig(duration=0.4, dt=0.2, rng_seed=1)
     timeline = run_simulation(mobile_scenario, np.ones(4), cfg, pre_optimize=False)
@@ -172,6 +163,7 @@ def test_timeline_csv_shape(mobile_scenario):
     assert len(lines) == timeline.num_snapshots + 1
     doc = timeline.to_json_dict()
     assert doc["mode"] == "lockstep"
+    assert doc["deterministic"] is True
     assert len(doc["snapshots"]) == timeline.num_snapshots
     assert "task_velocities" in doc["snapshots"][0]
 
@@ -188,10 +180,12 @@ def test_run_rejects_tasks_outside_box(model):
 
 
 def test_run_rejects_bad_pin_index(mobile_scenario):
-    with pytest.raises(ValueError):
-        run_simulation(
-            mobile_scenario, np.ones(4), MotionConfig(duration=0.4, pinned_tasks=(9,))
-        )
+    # a negative index would otherwise pin a task counted from the end
+    for pins in [(9,), (-1,)]:
+        with pytest.raises(ValueError):
+            run_simulation(
+                mobile_scenario, np.ones(4), MotionConfig(duration=0.4, pinned_tasks=pins)
+            )
 
 
 def test_solver_failure_attaches_partial_timeline(mobile_scenario):

@@ -10,15 +10,18 @@ from relayflow import (
     McfpInstance,
     Scenario,
     ScenarioConfig,
+    SolverOptions,
     build_instance,
     build_lp,
     default_commodities,
     flow_solution_to_dict,
+    scipy_linprog_solve,
     solve_mcfp,
     spawn_scenario,
     verify_solution,
     weight_preset,
 )
+from relayflow.simplex import solve_simplex
 
 E1 = np.exp(-1.0)
 E4 = np.exp(-4.0)
@@ -305,6 +308,44 @@ def test_every_solve_is_verified(model):
             inst = build_instance(scenario, weight_preset(kind, 4))
             report = verify_solution(inst, solve_mcfp(inst))
             assert report.passed, (seed, kind, report)
+
+
+def test_engines_agree_on_random_and_degenerate_scenarios(model):
+    # coordinates snapped to a 0.5 grid give coincident agents and
+    # symmetric layouts, where the optimal face and the duals are not
+    # unique; every engine must still pass verification and agree on phi
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coord = st.one_of(
+        st.floats(0.0, 2.5, allow_nan=False),
+        st.sampled_from([0.5 * step for step in range(6)]),
+    )
+    engines = [None, solve_simplex, scipy_linprog_solve]
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(
+        num_task=st.integers(2, 4),
+        num_relay=st.integers(0, 2),
+        points=st.lists(coord, min_size=12, max_size=12),
+        weights=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=4, max_size=4),
+    )
+    # random draws rarely stall the interior point; this coincident pair
+    # does, so every run also covers the hand-off to the simplex
+    @hyp.example(
+        num_task=4,
+        num_relay=0,
+        points=[2.5, 0.0, 2.5, 0.0, 1.0, 0.5, 2.5, 1.5] + [0.0] * 4,
+        weights=[1.0, 0.5, 0.5, 0.5],
+    )
+    def check(num_task, num_relay, points, weights):
+        pts = np.reshape(points[: 2 * (num_task + num_relay)], (-1, 2))
+        scenario = Scenario(pts[:num_task], pts[num_task:], model, default_commodities(num_task))
+        inst = build_instance(scenario, weights[:num_task])
+        phis = [solve_mcfp(inst, SolverOptions(engine=engine)).phi for engine in engines]
+        for phi in phis[1:]:
+            assert abs(phi - phis[0]) <= 1e-6 * (1.0 + abs(phis[0])), phis
+
+    check()
 
 
 def test_flow_solution_json_shape(bridge_scenario):
