@@ -32,6 +32,9 @@ from .lp import SolverOptions
 from .mcfp import FlowSolution, McfpSolveError, build_instance, solve_mcfp
 from .network import Scenario, validate_weights
 
+# step halvings tried per iteration when backtracking
+_MAX_HALVINGS = 20
+
 
 @dataclass(frozen=True)
 class AscentConfig:
@@ -39,8 +42,8 @@ class AscentConfig:
 
     ``backtracking`` is off by default, matching the plain fixed
     schedule; switching it on halves the step until the utility does
-    not decrease (at most ``max_halvings`` times), which makes the
-    recorded utility nondecreasing.
+    not decrease (at most 20 times), which makes the recorded utility
+    nondecreasing.
     """
 
     alpha0: float = 0.4
@@ -48,7 +51,6 @@ class AscentConfig:
     tol: float = 1e-5
     max_iters: int = 500
     backtracking: bool = False
-    max_halvings: int = 20
 
     def __post_init__(self) -> None:
         if self.alpha0 <= 0:
@@ -231,7 +233,7 @@ def ascend(
         if cfg.backtracking:
             step = alpha
             accepted = False
-            for _ in range(cfg.max_halvings + 1):
+            for _ in range(_MAX_HALVINGS + 1):
                 candidate = relay_pos + step * direction
                 try:
                     trial_sol = solve_mcfp(

@@ -36,7 +36,6 @@ from .mcfp import (
 from .network import (
     Scenario,
     ScenarioConfig,
-    ScenarioFormatError,
     default_commodities,
     load_scenario,
     save_scenario,
@@ -126,11 +125,7 @@ def cmd_spawn(args) -> int:
 
 def cmd_solve(args) -> int:
     out = _out_dir(args)
-    try:
-        scenario, weights = _load_inputs(args)
-    except ScenarioFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    scenario, weights = _load_inputs(args)
     inst = build_instance(scenario, weights)
     t0 = time.perf_counter()
     try:
@@ -167,11 +162,7 @@ def cmd_solve(args) -> int:
 
 def cmd_ascend(args) -> int:
     out = _out_dir(args)
-    try:
-        scenario, weights = _load_inputs(args)
-    except ScenarioFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    scenario, weights = _load_inputs(args)
     cfg = AscentConfig(
         alpha0=args.alpha,
         decay=args.decay,
@@ -216,11 +207,7 @@ def cmd_ascend(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    try:
-        scenario, weights = _load_inputs(args)
-    except ScenarioFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    scenario, weights = _load_inputs(args)
     cfg = MotionConfig(
         dt=args.dt,
         accel_std=args.accel_std,
@@ -316,11 +303,7 @@ def _mu_is_stable(scenario, weights, rel_tol=1e-3):
 
 def cmd_gradcheck(args) -> int:
     out = _out_dir(args)
-    try:
-        scenario, weights = _load_inputs(args)
-    except ScenarioFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    scenario, weights = _load_inputs(args)
     if scenario.num_relay == 0:
         print("scenario has no relay agents to differentiate", file=sys.stderr)
         return EXIT_INPUT
@@ -439,7 +422,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_INPUT
     try:
         return args.func(args)
-    except (ValueError, ScenarioFormatError) as exc:
+    except ValueError as exc:  # includes ScenarioFormatError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -26,11 +26,10 @@ from .network import Scenario, area_side, validate_weights
 class MotionConfig:
     """Random-acceleration motion parameters.
 
-    ``accel_std`` is the acceleration noise level ``a`` in km/s^2.  By
-    default it is read as the per-component variance of the sampled
-    acceleration (components drawn from N(0, a), standard deviation
-    sqrt(a)); set ``accel_as_variance`` to False to read it as the
-    standard deviation itself.  ``v_max`` caps relay speed in km/s.
+    ``accel_std`` is the acceleration noise level ``a`` in km/s^2, read
+    as the per-component variance of the sampled acceleration
+    (components drawn from N(0, a), standard deviation sqrt(a)).
+    ``v_max`` caps relay speed in km/s.
     ``box_size`` is the side of the navigation square for task agents;
     when omitted it defaults to the spawn-area rule sqrt(num_task).
     ``pinned_tasks`` lists task agents that do not move at all, such as
@@ -44,7 +43,6 @@ class MotionConfig:
     duration: float = 20.0
     rng_seed: int = 0
     pinned_tasks: tuple[int, ...] = ()
-    accel_as_variance: bool = True
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -60,7 +58,7 @@ class MotionConfig:
 
     @property
     def accel_sigma(self) -> float:
-        return float(np.sqrt(self.accel_std)) if self.accel_as_variance else float(self.accel_std)
+        return float(np.sqrt(self.accel_std))
 
     @property
     def num_steps(self) -> int:

@@ -37,6 +37,8 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 _HUGE = 1e12
+# interior-point iteration cap; a solve that reaches it goes to the simplex
+_MAX_ITERS = 200
 
 
 def _as_sparse(mat, num_cols: int) -> sp.csr_matrix:
@@ -104,7 +106,6 @@ class StandardFormLP:
 class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
-    max_iters: int = 200
     engine: Optional[Callable] = None
 
 
@@ -353,7 +354,7 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     stall_count = 0
     eta = 0.9995
 
-    for iteration in range(1, opts.max_iters + 1):
+    for iteration in range(1, _MAX_ITERS + 1):
         gl = np.where(has_lo, z - lp.lo, 1.0)
         gu = np.where(has_hi, lp.hi - z, 1.0)
 
@@ -571,10 +572,10 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
             )
         return _result_from_iterate(
             lp, "iteration_limit", z_b, w_b, y_b, zl_b, zu_b, gap_b, it_b,
-            f"best relative error {best_err:.2e} after {opts.max_iters} iterations",
+            f"best relative error {best_err:.2e} after {_MAX_ITERS} iterations",
         )
     return LpResult(
-        "numerical", z, float(lp.c @ z), w, y, zl, zu, np.inf, opts.max_iters,
+        "numerical", z, float(lp.c @ z), w, y, zl, zu, np.inf, _MAX_ITERS,
         "factorization failed on the first iteration",
     )
 

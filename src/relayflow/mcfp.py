@@ -16,6 +16,7 @@ duals are exactly the shadow prices the ascent direction needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -85,151 +86,104 @@ def build_instance(scenario: Scenario, weights) -> McfpInstance:
 
 @dataclass
 class McfpIndexMap:
-    """Column/row layout of the flow LP.
+    """Column and row layout of the flow LP, as index arrays.
 
-    Variables: flows r for every ordered pair and commodity (pair-major,
-    commodity-minor), then injections a per (commodity, source), then
-    one epigraph variable t per commodity.  The capacity row of each
-    ordered pair is recorded so its dual can be read back as a shadow
-    price.
+    Pairs p are the N(N-1) ordered pairs ``(pair_i[p], pair_j[p])`` in
+    row-major order; entries s are the (commodity, source) pairs
+    ``(src_k[s], src_i[s])`` in commodity-major order; ``relays`` is
+    sorted.  With K commodities, P pairs, S entries and R relays:
+
+    - columns: ``p*K + k`` flow of commodity k on pair p, in [0, 1];
+      ``a_col0 + s`` (a_col0 = P*K) injection of entry s, nonnegative;
+      ``t_col0 + k`` (t_col0 = P*K + S) epigraph value t_k, floored at
+      ``_EPIGRAPH_FLOOR``;
+    - inequality rows: ``s`` epigraph row t_k - a_s <= 0; ``S + s``
+      injection row a_s - (net outflow of k at i) <= 0; ``cap_row0 + p``
+      (cap_row0 = 2S) capacity row, total flow on p <= C_p;
+    - equality rows: ``k*R + q`` conservation of commodity k at relay
+      ``relays[q]``, net outflow = 0.
     """
 
     num_agents: int
     num_commodities: int
-    pairs: list
-    pair_pos: dict
-    a_cols: dict
-    t_col0: int
-    num_vars: int
-    e1_rows: dict
-    s1_rows: dict
-    cap_row0: int
-    r1_rows: dict
-    num_ineq: int
-    num_eq: int
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    src_k: np.ndarray
+    src_i: np.ndarray
+    relays: np.ndarray
 
-    def r_col(self, i: int, j: int, k: int) -> int:
-        return self.pair_pos[(i, j)] * self.num_commodities + k
+    @property
+    def num_pairs(self) -> int:
+        return self.pair_i.size
 
-    def cap_row(self, i: int, j: int) -> int:
-        return self.cap_row0 + self.pair_pos[(i, j)]
+    @property
+    def a_col0(self) -> int:
+        return self.num_pairs * self.num_commodities
+
+    @property
+    def t_col0(self) -> int:
+        return self.a_col0 + self.src_k.size
+
+    @property
+    def cap_row0(self) -> int:
+        return 2 * self.src_k.size
+
+    def r_col(self, i, j, k):
+        """Flow column of commodity k on pair (i, j), elementwise over arrays."""
+        pair = i * (self.num_agents - 1) + j - (j > i)
+        return pair * self.num_commodities + k
+
+
+def _net_outflow(index: McfpIndexMap, nodes: np.ndarray, ks: np.ndarray):
+    """COO entries ``(m, column, value)`` of the net outflow of commodity
+    ``ks[m]`` at agent ``nodes[m]``: +1 on each flow leaving it, -1 on
+    each flow entering it."""
+    others = index.num_agents - 1
+    m = np.repeat(np.arange(nodes.size), others)
+    i, k = nodes[m], ks[m]
+    j = np.tile(np.arange(others), nodes.size)
+    j += j >= i
+    cols = np.concatenate([index.r_col(i, j, k), index.r_col(j, i, k)])
+    return np.concatenate([m, m]), cols, np.repeat([1.0, -1.0], m.size)
 
 
 def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
-    """Emit the flow LP in standard form.
+    """Emit the flow LP in standard form, in the layout :class:`McfpIndexMap` states."""
+    n, num_k = inst.num_agents, inst.num_commodities
+    pair_i, pair_j = np.nonzero(~np.eye(n, dtype=bool))
+    src_k = np.repeat(np.arange(num_k), [len(com.sources) for com in inst.commodities])
+    src_i = np.fromiter(chain.from_iterable(com.sources for com in inst.commodities), dtype=int)
+    relays = np.asarray(inst.relay_set, dtype=int)
+    index = McfpIndexMap(n, num_k, pair_i, pair_j, src_k, src_i, relays)
+    num_s, num_p = src_k.size, pair_i.size
+    num_vars = index.t_col0 + num_k
+    s = np.arange(num_s)
 
-    Inequality rows, in order: epigraph rows (t_k <= a_i^k), injection
-    rows (a_i^k bounded by net outflow of source i), capacity rows (one
-    per ordered pair).  Equality rows: relay conservation.  Flows live
-    in [0, 1], injections are nonnegative, epigraph variables are free.
-    """
-    n = inst.num_agents
-    num_k = inst.num_commodities
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    pair_pos = {pair: p for p, pair in enumerate(pairs)}
-    num_r = len(pairs) * num_k
-
-    a_cols = {}
-    col = num_r
-    for k, com in enumerate(inst.commodities):
-        for i in com.sources:
-            a_cols[(k, i)] = col
-            col += 1
-    t_col0 = col
-    num_vars = t_col0 + num_k
-
-    def r_col(i, j, k):
-        return pair_pos[(i, j)] * num_k + k
-
-    rows_i: list[int] = []
-    cols_j: list[int] = []
-    vals: list[float] = []
-
-    def put(row, col_, val):
-        rows_i.append(row)
-        cols_j.append(col_)
-        vals.append(val)
-
-    row = 0
-    e1_rows = {}
-    for k, com in enumerate(inst.commodities):
-        for i in com.sources:
-            put(row, t_col0 + k, 1.0)
-            put(row, a_cols[(k, i)], -1.0)
-            e1_rows[(k, i)] = row
-            row += 1
-
-    s1_rows = {}
-    for k, com in enumerate(inst.commodities):
-        for i in com.sources:
-            put(row, a_cols[(k, i)], 1.0)
-            for j in range(n):
-                if j == i:
-                    continue
-                put(row, r_col(i, j, k), -1.0)
-                put(row, r_col(j, i, k), 1.0)
-            s1_rows[(k, i)] = row
-            row += 1
-
-    cap_row0 = row
-    b_ub = np.zeros(cap_row0 + len(pairs))
-    for p, (i, j) in enumerate(pairs):
-        for k in range(num_k):
-            put(row, r_col(i, j, k), 1.0)
-        b_ub[row] = inst.capacities[i, j]
-        row += 1
-    num_ineq = row
+    m, flow_cols, flow_vals = _net_outflow(index, src_i, src_k)
+    rows = [s, s, num_s + s, num_s + m, index.cap_row0 + np.repeat(np.arange(num_p), num_k)]
+    cols = [index.t_col0 + src_k, index.a_col0 + s, index.a_col0 + s, flow_cols, np.arange(index.a_col0)]
+    vals = [np.ones(num_s), -np.ones(num_s), np.ones(num_s), -flow_vals, np.ones(index.a_col0)]
     a_ub = sp.csr_matrix(
-        (vals, (rows_i, cols_j)), shape=(num_ineq, num_vars)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(index.cap_row0 + num_p, num_vars),
     )
+    b_ub = np.concatenate([np.zeros(index.cap_row0), inst.capacities[pair_i, pair_j]])
 
-    rows_i, cols_j, vals = [], [], []
-    row = 0
-    r1_rows = {}
-    for k in range(num_k):
-        for i in inst.relay_set:
-            for j in range(n):
-                if j == i:
-                    continue
-                put(row, r_col(i, j, k), 1.0)
-                put(row, r_col(j, i, k), -1.0)
-            r1_rows[(k, i)] = row
-            row += 1
-    num_eq = row
-    a_eq = sp.csr_matrix((vals, (rows_i, cols_j)), shape=(num_eq, num_vars))
+    num_eq = num_k * relays.size
+    m, flow_cols, flow_vals = _net_outflow(
+        index, np.tile(relays, num_k), np.repeat(np.arange(num_k), relays.size)
+    )
+    a_eq = sp.csr_matrix((flow_vals, (m, flow_cols)), shape=(num_eq, num_vars))
 
     c_obj = np.zeros(num_vars)
-    c_obj[t_col0 : t_col0 + num_k] = inst.weights
+    c_obj[index.t_col0 :] = inst.weights
 
     lo = np.zeros(num_vars)
     hi = np.ones(num_vars)
-    hi[num_r:] = np.inf
-    lo[t_col0:] = _EPIGRAPH_FLOOR
+    hi[index.a_col0 :] = np.inf
+    lo[index.t_col0 :] = _EPIGRAPH_FLOOR
 
-    lp = StandardFormLP(
-        c=c_obj,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=np.zeros(num_eq),
-        lo=lo,
-        hi=hi,
-    )
-    index = McfpIndexMap(
-        num_agents=n,
-        num_commodities=num_k,
-        pairs=pairs,
-        pair_pos=pair_pos,
-        a_cols=a_cols,
-        t_col0=t_col0,
-        num_vars=num_vars,
-        e1_rows=e1_rows,
-        s1_rows=s1_rows,
-        cap_row0=cap_row0,
-        r1_rows=r1_rows,
-        num_ineq=num_ineq,
-        num_eq=num_eq,
-    )
+    lp = StandardFormLP(c=c_obj, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(num_eq), lo=lo, hi=hi)
     return lp, index
 
 
@@ -249,7 +203,6 @@ class FlowSolution:
     iterations: int
     lp: Optional[StandardFormLP] = field(default=None, repr=False)
     lp_result: Optional[LpResult] = field(default=None, repr=False)
-    index: Optional[McfpIndexMap] = field(default=None, repr=False)
 
 
 class McfpSolveError(RuntimeError):
@@ -261,7 +214,7 @@ class McfpSolveError(RuntimeError):
         self.report = report
 
 
-def _trivial_solution(inst: McfpInstance) -> FlowSolution:
+def _zero_solution(inst: McfpInstance) -> FlowSolution:
     n, num_k = inst.num_agents, inst.num_commodities
     return FlowSolution(
         phi=0.0,
@@ -289,8 +242,9 @@ def solve_mcfp(
     never see unverified output.
     """
     opts = opts if opts is not None else SolverOptions()
+    sol = _zero_solution(inst)
     if inst.num_commodities == 0 or inst.num_agents < 2:
-        return _trivial_solution(inst)
+        return sol
 
     lp, index = build_lp(inst)
     result = solve(lp, opts)
@@ -300,44 +254,17 @@ def solve_mcfp(
             lp_result=result,
         )
 
-    n, num_k = inst.num_agents, inst.num_commodities
-    x = result.x
-    num_pairs = len(index.pairs)
-    ii = np.fromiter((p[0] for p in index.pairs), dtype=int, count=num_pairs)
-    jj = np.fromiter((p[1] for p in index.pairs), dtype=int, count=num_pairs)
+    x, y_ineq = result.x, result.y_ineq
+    pairs, sources = (index.pair_i, index.pair_j), (index.src_k, index.src_i)
+    sol.r[pairs] = x[: index.a_col0].reshape(index.num_pairs, inst.num_commodities)
+    sol.a[sources] = x[index.a_col0 : index.t_col0]
+    sol.t[:] = x[index.t_col0 : index.t_col0 + inst.num_commodities]
+    sol.lam[sources] = y_ineq[index.src_k.size : index.cap_row0]
+    sol.nu[:, index.relays] = result.y_eq.reshape(inst.num_commodities, index.relays.size)
+    sol.mu[pairs] = y_ineq[index.cap_row0 :]
+    sol.phi, sol.gap, sol.status = float(result.objective), float(result.gap), result.status
+    sol.iterations, sol.lp, sol.lp_result = result.iterations, lp, result
 
-    r = np.zeros((n, n, num_k))
-    r[ii, jj, :] = x[: num_pairs * num_k].reshape(num_pairs, num_k)
-
-    a = np.zeros((num_k, n))
-    for (k, i), col in index.a_cols.items():
-        a[k, i] = x[col]
-    t = x[index.t_col0 : index.t_col0 + num_k].copy()
-
-    lam = np.zeros((num_k, n))
-    for (k, i), row in index.s1_rows.items():
-        lam[k, i] = result.y_ineq[row]
-    nu = np.zeros((num_k, n))
-    for (k, i), row in index.r1_rows.items():
-        nu[k, i] = result.y_eq[row]
-    mu = np.zeros((n, n))
-    mu[ii, jj] = result.y_ineq[index.cap_row0 : index.cap_row0 + num_pairs]
-
-    sol = FlowSolution(
-        phi=float(result.objective),
-        r=r,
-        a=a,
-        t=t,
-        lam=lam,
-        nu=nu,
-        mu=mu,
-        gap=float(result.gap),
-        status=result.status,
-        iterations=result.iterations,
-        lp=lp,
-        lp_result=result,
-        index=index,
-    )
     report = verify_solution(inst, sol, tol=verify_tol)
     if not report.passed:
         raise McfpSolveError(
@@ -451,25 +378,17 @@ def _relay_imbalance(inst: McfpInstance, sol: FlowSolution) -> np.ndarray:
 
 def flow_solution_to_dict(sol: FlowSolution, drop_tol: float = 1e-9) -> dict:
     """JSON form: phi, dense mu, sparse r triples, injections, gap, status."""
-    n, _, num_k = sol.r.shape
-    r_entries = [
-        [int(i), int(j), int(k), float(sol.r[i, j, k])]
-        for i in range(n)
-        for j in range(n)
-        for k in range(num_k)
-        if sol.r[i, j, k] > drop_tol
-    ]
-    a_entries = [
-        [int(k), int(i), float(sol.a[k, i])]
-        for k in range(sol.a.shape[0])
-        for i in range(n)
-        if sol.a[k, i] > drop_tol
-    ]
     return {
         "phi": float(sol.phi),
         "mu": [[float(v) for v in row] for row in sol.mu],
-        "r": r_entries,
-        "a": a_entries,
+        "r": _nonzero_entries(sol.r, drop_tol),
+        "a": _nonzero_entries(sol.a, drop_tol),
         "gap": float(sol.gap),
         "status": sol.status,
     }
+
+
+def _nonzero_entries(arr: np.ndarray, drop_tol: float) -> list:
+    """``[*index, value]`` of every entry above ``drop_tol``, in row-major order."""
+    idx = np.nonzero(arr > drop_tol)
+    return [[*ix, v] for *ix, v in zip(*(axis.tolist() for axis in idx), arr[idx].tolist())]

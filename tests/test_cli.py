@@ -80,11 +80,13 @@ def test_solve_unreadable_file_is_input_error(tmp_path):
     assert rc != EXIT_VERIFY
 
 
-def test_solve_malformed_file_is_input_error(tmp_path):
+@pytest.mark.parametrize("command", ["solve", "ascend", "simulate", "gradcheck"])
+def test_malformed_file_is_input_error(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
-    rc = main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+    rc = main([command, "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert rc == EXIT_INPUT
+    assert "input error: cannot read scenario" in capsys.readouterr().err
 
 
 def test_ascend_quick_exit_with_huge_tolerance(tmp_path, pair_file):

@@ -25,7 +25,6 @@ def test_motion_config_validation():
     with pytest.raises(ValueError):
         MotionConfig(box_size=0.0)
     assert MotionConfig(accel_std=0.04).accel_sigma == pytest.approx(0.2)
-    assert MotionConfig(accel_std=0.04, accel_as_variance=False).accel_sigma == pytest.approx(0.04)
     assert MotionConfig(duration=20.0, dt=0.2).num_steps == 100
 
 

@@ -131,12 +131,13 @@ def test_build_lp_dimensions(bridge_scenario):
     inst = build_instance(bridge_scenario, [1.0, 1.0])
     lp, index = build_lp(inst)
     assert lp.num_vars == 16  # r: 12, a: 2, t: 2
-    assert len(index.pairs) == 6
+    assert index.num_pairs == 6
+    assert list(zip(index.pair_i, index.pair_j)) == [(i, j) for i in range(3) for j in range(3) if i != j]
     assert lp.num_ineq == 2 + 2 + 6  # epigraph, injection, capacity rows
     assert lp.num_eq == 2  # one conservation row per (commodity, relay)
     # capacity rows carry the rates in pair order
-    for (i, j) in index.pairs:
-        assert lp.b_ub[index.cap_row(i, j)] == inst.capacities[i, j]
+    assert index.cap_row0 == lp.num_ineq - index.num_pairs
+    np.testing.assert_array_equal(lp.b_ub[index.cap_row0 :], inst.capacities[index.pair_i, index.pair_j])
 
 
 def test_zero_weights_give_zero_objective(bridge_scenario):
@@ -292,13 +293,59 @@ def test_oracle_equivalence_small_instances(model):
         )
     )
     weight_choices = [None, "ap:0", "subset:1"]
-    for idx, scenario in enumerate(cases):
+    weighted = [
+        (scenario, weight_preset(kind, 2) if kind else np.ones(2))
+        for scenario, kind in zip(cases, weight_choices * len(cases))
+    ]
+    # irregular commodity structures: sources a strict subset of the
+    # tasks, fewer commodities than tasks, a single relay
+    square = np.array([[0.0, 0.0], [1.2, 0.0], [1.2, 1.0]])
+    weighted += [
+        (
+            Scenario(square, np.array([[0.6, 0.3]]), model, (
+                CommoditySpec(sink=0, sources=(2,)),
+                CommoditySpec(sink=2, sources=(0, 1)),
+            )),
+            np.array([1.0, 0.5]),
+        ),
+        (
+            Scenario(square, np.array([[0.9, 0.6]]), model, (
+                CommoditySpec(sink=1, sources=(0,)),
+                CommoditySpec(sink=0, sources=(1, 2)),
+                CommoditySpec(sink=2, sources=(1,)),
+            )),
+            np.array([0.5, 1.0, 2.0]),
+        ),
+        (
+            Scenario(
+                np.vstack([square, [[0.0, 1.0]]]), np.zeros((0, 2)), model,
+                (CommoditySpec(sink=3, sources=(0, 1)),),
+            ),
+            np.ones(1),
+        ),
+    ]
+    for scenario, weights in weighted:
         assert scenario.num_agents <= 4
-        kind = weight_choices[idx % len(weight_choices)]
-        weights = weight_preset(kind, 2) if kind else np.ones(2)
         inst = build_instance(scenario, weights)
         sol = solve_mcfp(inst)
         assert sol.phi == pytest.approx(oracle_phi(inst), abs=1e-5)
+
+
+def _reduced_costs(inst, sol):
+    """rc[i, j, k] of every flow column, priced by the returned duals.
+
+    The potential of agent i for commodity k is its injection-row dual
+    if i is a source of k, minus its conservation dual if i is a relay;
+    a column's reduced cost is the potential drop along (i, j) minus the
+    capacity price mu_ij.
+    """
+    n = inst.num_agents
+    is_source = np.zeros((inst.num_commodities, n))
+    for k, com in enumerate(inst.commodities):
+        is_source[k, list(com.sources)] = 1.0
+    is_relay = np.isin(np.arange(n), inst.relay_set)
+    pot = (sol.lam * is_source - sol.nu * is_relay).T  # (N, K)
+    return pot[:, None, :] - pot[None, :, :] - sol.mu[:, :, None]
 
 
 def test_every_solve_is_verified(model):
@@ -306,8 +353,15 @@ def test_every_solve_is_verified(model):
         scenario = spawn_scenario(ScenarioConfig(num_task=4, num_relay=2, rng_seed=50 + seed), model)
         for kind in ["adhoc", "ap:1", "subset:0,2"]:
             inst = build_instance(scenario, weight_preset(kind, 4))
-            report = verify_solution(inst, solve_mcfp(inst))
+            sol = solve_mcfp(inst)
+            report = verify_solution(inst, sol)
             assert report.passed, (seed, kind, report)
+            # no flow column below its upper bound prices positive, and
+            # flow runs only on columns of zero reduced cost
+            rc = _reduced_costs(inst, sol)
+            off_diag = ~np.eye(inst.num_agents, dtype=bool)
+            assert np.max(rc[sol.r < 1 - 1e-6]) <= 1e-6, (seed, kind)
+            assert np.max(np.abs(rc * sol.r)[off_diag]) <= 1e-6, (seed, kind)
 
 
 def test_engines_agree_on_random_and_degenerate_scenarios(model):
