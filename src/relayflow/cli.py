@@ -25,7 +25,7 @@ from . import __version__
 from .ascent import AscentConfig, AscentError, ascend, finite_difference_phi, gradient_from_duals
 from .capacity import CapacityModel
 from .dynamics import MotionConfig, SimulationError, run_simulation
-from .lp import SolverOptions
+from .lp import SolverOptions, blas_thread_controls
 from .mcfp import (
     McfpSolveError,
     build_instance,
@@ -75,6 +75,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outpu
         "outputs": outputs,
         "version": __version__,
         "deterministic": True,  # constant; kept for readers of older manifests
+        "blas_pinned": [ctl.name for ctl in blas_thread_controls()],
         "timings_s": timings,
     }
     (out_dir / "manifest.json").write_text(
@@ -289,8 +290,8 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _mu_is_stable(scenario, weights, rel_tol=1e-3):
-    """Re-solve from a nudged configuration and compare shadow prices."""
+def _stable_solution(scenario, weights, rel_tol=1e-3):
+    """Solve at ``scenario``; None if nudging the relays moves the shadow prices."""
     base = solve_mcfp(build_instance(scenario, weights))
     rng = np.random.default_rng(0)
     nudged = scenario.with_relay_positions(
@@ -298,10 +299,13 @@ def _mu_is_stable(scenario, weights, rel_tol=1e-3):
     )
     other = solve_mcfp(build_instance(nudged, weights))
     scale = 1.0 + float(np.max(np.abs(base.mu)))
-    return float(np.max(np.abs(base.mu - other.mu))) <= rel_tol * scale
+    return base if float(np.max(np.abs(base.mu - other.mu))) <= rel_tol * scale else None
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        print("need at least one trial", file=sys.stderr)
+        return EXIT_INPUT
     out = _out_dir(args)
     scenario, weights = _load_inputs(args)
     if scenario.num_relay == 0:
@@ -316,10 +320,10 @@ def cmd_gradcheck(args) -> int:
         for _ in range(args.trials):
             offset = rng.normal(0.0, 0.15, scenario.relay_positions.shape)
             candidate = scenario.with_relay_positions(scenario.relay_positions + offset)
-            if not _mu_is_stable(candidate, weights):
+            sol = _stable_solution(candidate, weights)
+            if sol is None:
                 skipped += 1
                 continue
-            sol = solve_mcfp(build_instance(candidate, weights))
             g_dual = gradient_from_duals(sol, candidate)
             g_fd = finite_difference_phi(candidate, weights, h=args.h)
             denom = max(float(np.max(np.abs(g_fd))), 1e-12)

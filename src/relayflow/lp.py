@@ -29,8 +29,13 @@ an independent cross-check in the test suite.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import importlib
+import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +44,9 @@ from scipy.linalg import cho_factor, cho_solve
 _HUGE = 1e12
 # interior-point iteration cap; a solve that reaches it goes to the simplex
 _MAX_ITERS = 200
+# constraint-matrix entries (variables x rows) up to which the interior
+# point works on dense arrays, on one BLAS thread
+_DENSE_MAX_ENTRIES = 500_000
 
 
 def _as_sparse(mat, num_cols: int) -> sp.csr_matrix:
@@ -222,6 +230,84 @@ def solve(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
 # ---------------------------------------------------------------------------
 
 
+class BlasThreadControl(NamedTuple):
+    """Thread-count getter and setter of one loaded BLAS library."""
+
+    name: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+# numpy's matrix products and scipy's Cholesky each call into their own
+# BLAS; these extensions link it, so their handles export its controls
+_BLAS_EXTENSIONS = ("numpy.linalg._umath_linalg", "scipy.linalg._flapack")
+
+
+@functools.cache
+def blas_thread_controls() -> tuple[BlasThreadControl, ...]:
+    """The OpenBLAS thread controls reachable from numpy and scipy.
+
+    One :class:`BlasThreadControl` per distinct library, named by its
+    symbol prefix (``"scipy_openblas64_"``, ``"openblas"``, ...).  Empty
+    for any other BLAS (MKL, Accelerate), which the solver then leaves
+    at its own threading.
+    """
+    controls = {}
+    for module in _BLAS_EXTENSIONS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                # two extensions may share one library
+                address = ctypes.cast(set_, ctypes.c_void_p).value
+                controls.setdefault(address, BlasThreadControl(prefix + suffix, get, set_))
+    return tuple(controls.values())
+
+
+class _OneBlasThread:
+    """Holds every BLAS at one thread while any solve is inside :meth:`scope`.
+
+    Waking more OpenBLAS threads costs more than they save on the small
+    dense normal matrices of the flow LPs.  The count is process-wide,
+    so overlapping scopes (nested, or in concurrent threads) share one
+    pin, and the last to leave restores the counts the first one found.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: tuple = ()
+
+    @contextlib.contextmanager
+    def scope(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((ctl, ctl.get()) for ctl in blas_thread_controls())
+                for ctl, _ in self._saved:
+                    ctl.set(1)
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    for ctl, count in self._saved:
+                        ctl.set(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def _initial_point(lp, has_lo, has_hi):
     z = np.zeros(lp.num_vars)
     both = has_lo & has_hi
@@ -303,12 +389,26 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     it meets the requested tolerances, otherwise as ``iteration_limit``.
     Every returned point, whichever path produced it, satisfies the
     advertised tolerances or carries a non-optimal status saying why not.
+
+    Problems with at most ``_DENSE_MAX_ENTRIES`` constraint-matrix
+    entries are solved on dense arrays and, simplex endgame included,
+    on one OpenBLAS thread.  That thread count is process-wide: it holds
+    for every thread of the process while the solve runs and is restored
+    to the caller's value afterwards, also when the solve raises.  The
+    package runs no threads of its own; solves that overlap in a
+    caller's threads share one pin.  Larger problems take the sparse
+    path at the library's default threading.
     """
     opts = opts if opts is not None else SolverOptions()
-    n, m_in, m_eq = lp.num_vars, lp.num_ineq, lp.num_eq
-    if m_in + m_eq == 0:
+    if lp.num_ineq + lp.num_eq == 0:
         return _solve_box_only(lp)
+    dense = lp.num_vars * (lp.num_ineq + lp.num_eq) <= _DENSE_MAX_ENTRIES
+    with _ONE_BLAS_THREAD.scope() if dense else contextlib.nullcontext():
+        return _interior_point(lp, opts, dense)
 
+
+def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpResult:
+    n, m_in, m_eq = lp.num_vars, lp.num_ineq, lp.num_eq
     has_lo = np.isfinite(lp.lo)
     has_hi = np.isfinite(lp.hi)
     bounded = has_lo | has_hi
@@ -321,7 +421,7 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     a_hat_f = a_hat[:, free].toarray() if n_free else np.zeros((m_eq + m_in, 0))
 
     # sparse per-call overhead dwarfs the arithmetic on small problems
-    if n * (m_in + m_eq) <= 500_000:
+    if dense:
         a_ub = a_ub.toarray()
         a_eq = a_eq.toarray()
         a_hat_b = a_hat_b.toarray()

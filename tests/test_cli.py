@@ -12,6 +12,7 @@ from relayflow.cli import (
     EXIT_VERIFY,
     main,
 )
+from relayflow.lp import blas_thread_controls
 
 E1 = np.exp(-1.0)
 
@@ -123,6 +124,7 @@ def test_simulate_snapshot_count_and_manifest(tmp_path):
     assert len(rows) == 1 + 11
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["deterministic"] is True
+    assert manifest["blas_pinned"] == [ctl.name for ctl in blas_thread_controls()]
     assert (out / "utility.svg").exists()
 
 
@@ -179,6 +181,14 @@ def test_gradcheck_failure_exit_code(tmp_path):
     ])
     assert rc == EXIT_GRADCHECK
     assert rc != EXIT_INPUT
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_rejects_nonpositive_trials(tmp_path, pair_file, trials):
+    out = tmp_path / "gc0"
+    rc = main(["gradcheck", "--scenario", str(pair_file), "--trials", trials, "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert not (out / "gradcheck.txt").exists()
 
 
 def test_usage_error_returns_two():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from relayflow import (
     solve,
     solve_interior_point,
 )
-from relayflow.lp import dual_objective
+from relayflow import lp as lp_module
+from relayflow import simplex as simplex_module
+from relayflow.lp import BlasThreadControl, dual_objective
 from relayflow.simplex import solve_simplex
 
 ENGINES = [solve_interior_point, solve_simplex, scipy_linprog_solve]
@@ -157,3 +162,141 @@ def test_solve_validates_shapes():
         StandardFormLP(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(ValueError):
         StandardFormLP(c=[1.0], lo=[2.0], hi=[1.0])
+
+
+def boxed_lp(rng, n, m_in):
+    """A feasible, bounded LP with ``m_in`` dense inequality rows."""
+    a = rng.normal(size=(m_in, n))
+    b = a @ rng.uniform(0, 1, n) + rng.uniform(0.1, 1.0, m_in)
+    return StandardFormLP(c=rng.normal(size=n), a_ub=a, b_ub=b, lo=np.zeros(n), hi=np.full(n, 2.0))
+
+
+class FakeBlas:
+    """A BLAS thread control that records every count it is set to."""
+
+    def __init__(self, name, count):
+        self.count = count
+        self.calls = []
+        self.control = BlasThreadControl(name, self.get, self.set)
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.calls.append(count)
+        self.count = count
+
+
+def counts(fakes):
+    return [fake.count for fake in fakes]
+
+
+@pytest.fixture()
+def fake_blas(monkeypatch):
+    fakes = [FakeBlas("fake64_", 2), FakeBlas("fake", 3)]
+    controls = tuple(fake.control for fake in fakes)
+    monkeypatch.setattr(lp_module, "blas_thread_controls", lambda: controls)
+    return fakes
+
+
+def test_dense_solve_runs_on_one_blas_thread(fake_blas, monkeypatch):
+    seen = []
+    real_cho_factor = lp_module.cho_factor
+
+    def spying_cho_factor(*args, **kwargs):
+        seen.append(counts(fake_blas))
+        return real_cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "cho_factor", spying_cho_factor)
+    res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
+    assert res.optimal
+    assert seen and all(counts == [1, 1] for counts in seen)
+    assert counts(fake_blas) == [2, 3]
+
+
+def test_simplex_rescue_runs_inside_the_blas_scope(fake_blas, monkeypatch):
+    seen = []
+    real_simplex = simplex_module.solve_simplex
+
+    def spying_simplex(lp, opts=None):
+        seen.append(counts(fake_blas))
+        return real_simplex(lp, opts)
+
+    monkeypatch.setattr(simplex_module, "solve_simplex", spying_simplex)
+    monkeypatch.setattr(lp_module, "_MAX_ITERS", 1)  # hand off after one step
+    res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
+    assert res.optimal
+    assert seen == [[1, 1]]
+    assert counts(fake_blas) == [2, 3]
+
+
+def test_blas_scope_restores_counts_after_a_raise(fake_blas, monkeypatch):
+    def failing_cho_factor(*args, **kwargs):
+        assert counts(fake_blas) == [1, 1]
+        raise RuntimeError("factorization blew up")
+
+    monkeypatch.setattr(lp_module, "cho_factor", failing_cho_factor)
+    with pytest.raises(RuntimeError, match="blew up"):
+        solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
+    assert counts(fake_blas) == [2, 3]
+    assert [fake.calls for fake in fake_blas] == [[1, 2], [1, 3]]
+
+
+def test_overlapping_blas_scopes_share_one_pin(fake_blas):
+    pin = lp_module._OneBlasThread()
+    first, second = pin.scope(), pin.scope()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)  # leaves before the later scope
+    assert counts(fake_blas) == [1, 1]
+    second.__exit__(None, None, None)
+    assert counts(fake_blas) == [2, 3]
+    assert [fake.calls for fake in fake_blas] == [[1, 2], [1, 3]]
+
+
+def test_blas_scope_from_many_threads(fake_blas):
+    pin = lp_module._OneBlasThread()
+    unpinned = []
+
+    def worker():
+        for _ in range(300):
+            with pin.scope():
+                if counts(fake_blas) != [1, 1]:
+                    unpinned.append(counts(fake_blas))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert unpinned == []
+    assert counts(fake_blas) == [2, 3]
+
+
+def test_sparse_solve_leaves_blas_threads_alone(fake_blas, monkeypatch):
+    # a threshold of 1 puts every LP with rows on the sparse path
+    monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
+    res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
+    assert res.optimal
+    assert [fake.calls for fake in fake_blas] == [[], []]
+
+
+def test_solution_does_not_depend_on_the_blas_controls(monkeypatch):
+    # large enough for OpenBLAS to spread the normal-matrix products over
+    # threads when it is not pinned
+    lp = boxed_lp(np.random.default_rng(5), 300, 120)
+    pinned = solve_interior_point(lp)
+    monkeypatch.setattr(lp_module, "blas_thread_controls", lambda: ())
+    unpinned = solve_interior_point(lp)
+    assert pinned.optimal and unpinned.optimal
+    assert pinned.objective == pytest.approx(unpinned.objective, rel=1e-12, abs=1e-12)
+    for field in ("x", "y_ineq", "z_lower", "z_upper"):
+        np.testing.assert_allclose(
+            getattr(pinned, field), getattr(unpinned, field), rtol=1e-9, atol=1e-9
+        )
