@@ -3,14 +3,20 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from relayflow import (
+    ScenarioConfig,
     SolverOptions,
     StandardFormLP,
+    build_instance,
+    build_lp,
     check_kkt,
     scipy_linprog_solve,
     solve,
     solve_interior_point,
+    spawn_scenario,
+    weight_preset,
 )
 from relayflow import lp as lp_module
 from relayflow import simplex as simplex_module
@@ -279,12 +285,21 @@ def test_blas_scope_from_many_threads(fake_blas):
     assert counts(fake_blas) == [2, 3]
 
 
-def test_sparse_solve_leaves_blas_threads_alone(fake_blas, monkeypatch):
+def test_sparse_solve_runs_on_one_blas_thread(fake_blas, monkeypatch):
     # a threshold of 1 puts every LP with rows on the sparse path
     monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
+    seen = []
+    real_cho_factor = lp_module.cho_factor
+
+    def spying_cho_factor(*args, **kwargs):
+        seen.append(counts(fake_blas))
+        return real_cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "cho_factor", spying_cho_factor)
     res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
     assert res.optimal
-    assert [fake.calls for fake in fake_blas] == [[], []]
+    assert seen and all(counts == [1, 1] for counts in seen)
+    assert counts(fake_blas) == [2, 3]
 
 
 def test_solution_does_not_depend_on_the_blas_controls(monkeypatch):
@@ -300,3 +315,132 @@ def test_solution_does_not_depend_on_the_blas_controls(monkeypatch):
         np.testing.assert_allclose(
             getattr(pinned, field), getattr(unpinned, field), rtol=1e-9, atol=1e-9
         )
+
+
+def solve_dense_and_sparse(lp, monkeypatch):
+    dense = solve_interior_point(lp)
+    with monkeypatch.context() as patch:
+        # a threshold of 1 puts every LP with rows on the sparse path
+        patch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
+        sparse = solve_interior_point(lp)
+    return dense, sparse
+
+
+def assert_same_solution(dense, sparse, tol=1e-8):
+    assert dense.optimal and sparse.optimal
+    assert sparse.objective == pytest.approx(dense.objective, abs=tol)
+    for field in ("x", "y_ineq", "y_eq", "z_lower", "z_upper"):
+        np.testing.assert_allclose(getattr(sparse, field), getattr(dense, field), rtol=0, atol=tol)
+
+
+def sparse_boxed_lp(rng, n, m_in, m_eq):
+    """A feasible, bounded LP whose rows each touch about a fifth of the columns."""
+    a = rng.normal(size=(m_in, n)) * (rng.random((m_in, n)) < 0.2)
+    g = rng.normal(size=(m_eq, n)) * (rng.random((m_eq, n)) < 0.2)
+    z0 = rng.uniform(0.2, 1.8, n)
+    b = a @ z0 + rng.uniform(0.1, 1.0, m_in)
+    return StandardFormLP(
+        c=rng.normal(size=n), a_ub=a, b_ub=b, a_eq=g, b_eq=g @ z0, lo=np.zeros(n), hi=np.full(n, 2.0)
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_path_matches_dense_path_on_boxed_lps(seed, monkeypatch):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(10, 40))
+    for lp in (boxed_lp(rng, n, int(rng.integers(2, 25))), sparse_boxed_lp(rng, n, n // 2, n // 5)):
+        assert_same_solution(*solve_dense_and_sparse(lp, monkeypatch))
+
+
+def test_sparse_path_solves_free_variables_with_equalities(monkeypatch):
+    # the free column's Schur complement hands the block solve a 2-D right-hand side
+    lp = StandardFormLP(
+        c=[1, 0, 0],
+        a_ub=[[1, -1, 0]],
+        b_ub=[0.0],
+        a_eq=[[0, 1, 1]],
+        b_eq=[1.0],
+        lo=[-np.inf, 0, 0],
+        hi=[np.inf, np.inf, np.inf],
+    )
+    dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+    assert sparse.objective == pytest.approx(1.0, abs=1e-8)
+    assert check_kkt(lp, sparse).passed(1e-6)
+    assert_same_solution(dense, sparse)
+
+
+def test_sparse_path_handles_empty_rows(monkeypatch):
+    # an empty equality row makes the normal matrix singular, also when
+    # it stores an explicit zero; an empty inequality row only carries its slack
+    stored_zero_row = sp.csr_matrix(([0.0, 1.0, -1.0], [1, 0, 2], [0, 1, 3]), shape=(2, 3))
+    lp = StandardFormLP(
+        c=[1.0, 2.0, -1.0],
+        a_ub=[[1, 1, 0], [0, 0, 0], [0, 1, 1]],
+        b_ub=[1.0, 0.5, 1.5],
+        a_eq=stored_zero_row,
+        b_eq=[0.0, 0.25],
+        lo=[0, 0, 0],
+        hi=[2, 2, 2],
+    )
+    dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+    assert check_kkt(lp, sparse).passed(1e-6)
+    assert_same_solution(dense, sparse)
+
+
+def test_sparse_path_keeps_typed_statuses(monkeypatch):
+    infeasible = StandardFormLP(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0], lo=[0.0], hi=[np.inf])
+    unbounded = StandardFormLP(
+        c=[1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], lo=[0.0, 0.0], hi=[np.inf, np.inf]
+    )
+    for lp, status in ((infeasible, "infeasible"), (unbounded, "unbounded")):
+        dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+        assert dense.status == sparse.status == status
+
+
+def assert_disjoint_and_maximal(a, rows):
+    support = (abs(a) > 0).astype(int)
+    chosen_cols = np.asarray(support[rows].sum(axis=0)).ravel()
+    assert chosen_cols.max(initial=0) <= 1  # pairwise disjoint supports
+    # every other nonempty row meets a chosen one, so the greedy missed none
+    others = np.setdiff1d(np.arange(a.shape[0]), rows)
+    assert np.all((support[others] @ chosen_cols)[support[others].getnnz(axis=1) > 0] > 0)
+
+
+def test_disjoint_rows_on_random_sparse_matrices():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 60)))
+        a = sp.random(*shape, density=0.08, random_state=rng, format="csr")
+        assert_disjoint_and_maximal(a, lp_module._disjoint_rows(a))
+    # a row that stores only zeros is empty, whatever its stored entries say
+    stored_zero_row = sp.csr_matrix(([0.0, 2.0], [0, 1], [0, 1, 2]), shape=(2, 2))
+    assert lp_module._disjoint_rows(stored_zero_row).tolist() == [1]
+
+
+def flow_lp():
+    """A spawned team's flow LP, its layout, and its rows in the solver's order."""
+    scenario = spawn_scenario(ScenarioConfig(num_task=6, num_relay=3, rng_seed=2))
+    lp, index = build_lp(build_instance(scenario, weight_preset("adhoc", len(scenario.commodities))))
+    return lp, index, sp.vstack([lp.a_eq, lp.a_ub], format="csr")
+
+
+def test_disjoint_rows_take_every_capacity_row_of_a_flow_lp():
+    lp, index, a_hat = flow_lp()
+    rows = lp_module._disjoint_rows(a_hat)
+    assert_disjoint_and_maximal(a_hat, rows)
+    cap_rows = lp.num_eq + index.cap_row0 + np.arange(index.num_pairs)
+    assert np.isin(cap_rows, rows).all()
+
+
+def test_block_normal_solver_solves_the_normal_equations():
+    lp, _, a_hat = flow_lp()
+    rng = np.random.default_rng(8)
+    dinv = 10.0 ** rng.uniform(-3, 3, lp.num_vars)
+    e_diag = np.concatenate([np.zeros(lp.num_eq), rng.uniform(0.1, 1.0, lp.num_ineq)])
+    m_mat = (a_hat.multiply(dinv[None, :]) @ a_hat.T).toarray() + np.diag(e_diag)
+    rows = lp_module._disjoint_rows(a_hat)
+    m_solve = lp_module._block_normal_solver(a_hat, rows, dinv, e_diag)
+    # one right-hand side, and several at once as for the free columns
+    for rhs in (rng.normal(size=a_hat.shape[0]), rng.normal(size=(a_hat.shape[0], 3))):
+        expected = np.linalg.solve(m_mat, rhs)
+        np.testing.assert_allclose(m_solve(rhs), expected, rtol=0, atol=1e-9 * np.abs(expected).max())

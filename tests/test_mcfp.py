@@ -21,6 +21,7 @@ from relayflow import (
     verify_solution,
     weight_preset,
 )
+from relayflow import lp as lp_module
 from relayflow.simplex import solve_simplex
 
 E1 = np.exp(-1.0)
@@ -362,6 +363,18 @@ def test_every_solve_is_verified(model):
             off_diag = ~np.eye(inst.num_agents, dtype=bool)
             assert np.max(rc[sol.r < 1 - 1e-6]) <= 1e-6, (seed, kind)
             assert np.max(np.abs(rc * sol.r)[off_diag]) <= 1e-6, (seed, kind)
+
+
+def test_sparse_path_solve_of_a_spawned_team(model):
+    # 15 agents are past the dense threshold, so the default engine
+    # eliminates the capacity rows and factors the Schur complement
+    scenario = spawn_scenario(ScenarioConfig(num_task=10, num_relay=5, rng_seed=0), model)
+    inst = build_instance(scenario, weight_preset("adhoc", 10))
+    sol = solve_mcfp(inst)
+    assert sol.lp.num_vars * (sol.lp.num_ineq + sol.lp.num_eq) > lp_module._DENSE_MAX_ENTRIES
+    assert verify_solution(inst, sol).passed
+    ref = solve_mcfp(inst, SolverOptions(engine=scipy_linprog_solve))
+    assert abs(sol.phi - ref.phi) <= 1e-6 * (1.0 + abs(ref.phi))
 
 
 def test_engines_agree_on_random_and_degenerate_scenarios(model):
