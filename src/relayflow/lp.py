@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 _HUGE = 1e12
 # interior-point iteration cap; a solve that reaches it goes to the simplex
@@ -53,6 +53,10 @@ _MAX_ITERS = 200
 # constraint-matrix entries (variables x rows) up to which the interior
 # point works on dense arrays; larger problems take the block-elimination path
 _DENSE_MAX_ENTRIES = 500_000
+# the LAPACK Cholesky routines behind scipy's cho_factor and cho_solve,
+# called directly: on the small normal matrices of flow LPs the wrappers'
+# argument handling costs more than the arithmetic
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _as_sparse(mat, num_cols: int) -> sp.csr_matrix:
@@ -336,35 +340,47 @@ def _initial_point(lp, has_lo, has_hi):
 def _step_limit(vals: np.ndarray, step: np.ndarray) -> float:
     """Largest alpha with vals + alpha*step >= 0, assuming vals > 0."""
     neg = step < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-vals[neg] / step[neg]))
+    return float(np.min(-vals[neg] / step[neg], initial=np.inf))
 
 
 def _cho_factor_jittered(mat: np.ndarray):
-    """Cholesky factor of ``mat``, nudging its diagonal (in place) up to six
-    times when it is not numerically positive definite; None if it never is."""
+    """Lower Cholesky factor of ``mat``, nudging its diagonal (in place) up
+    to six times when it is not numerically positive definite; None if it
+    never is.  The factor is a new array: ``mat`` keeps its values."""
     for attempt in range(6):
-        try:
-            return cho_factor(mat, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * (10.0**attempt) * (1.0 + float(np.max(np.abs(mat))))
-            mat[np.diag_indices_from(mat)] += jitter
+        factor, info = _potrf(mat, lower=1, overwrite_a=0, clean=0)
+        if info == 0:
+            return factor
+        if info < 0:
+            raise ValueError(f"LAPACK potrf rejected its argument {-info}")
+        jitter = 1e-12 * (10.0**attempt) * (1.0 + float(np.max(np.abs(mat))))
+        mat[np.diag_indices_from(mat)] += jitter
     return None
+
+
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a factor from :func:`_cho_factor_jittered`; ``rhs`` is
+    1-D or 2-D and is left unchanged."""
+    if rhs.shape[0] == 0:  # potrs rejects an empty system
+        return rhs.copy()
+    sol, info = _potrs(factor, rhs, lower=1, overwrite_b=0)
+    if info != 0:
+        raise ValueError(f"LAPACK potrs rejected its argument {-info}")
+    return sol
 
 
 def _dense_normal_solver(a_hat_b: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray):
     """Solve with M = A D^-1 A' + E from a dense Cholesky factor of M, with
     one round of iterative refinement; None if M cannot be factored."""
     m_mat = (a_hat_b * dinv[None, :]) @ a_hat_b.T
-    m_mat[np.diag_indices_from(m_mat)] += e_diag
+    m_mat.flat[:: m_mat.shape[0] + 1] += e_diag
     factor = _cho_factor_jittered(m_mat)
     if factor is None:
         return None
 
     def m_solve(rhs: np.ndarray) -> np.ndarray:
-        sol = cho_solve(factor, rhs, check_finite=False)
-        sol += cho_solve(factor, rhs - m_mat @ sol, check_finite=False)
+        sol = _cho_solve(factor, rhs)
+        sol += _cho_solve(factor, rhs - m_mat @ sol)
         return sol
 
     return m_solve
@@ -421,7 +437,7 @@ def _block_normal_solver(
         d = d1 if rhs.ndim == 1 else d1[:, None]
         r1 = rhs[rows1]
         x = np.empty_like(rhs)
-        x[rows2] = x2 = cho_solve(factor, rhs[rows2] - m21 @ (r1 / d), check_finite=False)
+        x[rows2] = x2 = _cho_solve(factor, rhs[rows2] - m21 @ (r1 / d))
         x[rows1] = (r1 - m12 @ x2) / d
         return x
 
@@ -581,10 +597,9 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
         )
         rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj))
         rel_pinf = max(
-            float(np.max(np.abs(r_eq), initial=0.0)),
-            float(np.max(np.abs(r_in), initial=0.0)),
+            float(np.abs(r_eq).max(initial=0.0)), float(np.abs(r_in).max(initial=0.0))
         ) / scale_rhs
-        rel_dinf = float(np.max(np.abs(r_d), initial=0.0)) / scale_obj
+        rel_dinf = float(np.abs(r_d).max(initial=0.0)) / scale_obj
         err = max(rel_gap, rel_pinf, rel_dinf)
 
         if err < 0.9 * progress_err:
@@ -647,17 +662,15 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
         def newton_core(e_d, e_eq, e_in, r_ws, r_l, r_u):
             q1 = -e_d - np.where(has_lo, r_l / gl, 0.0) + np.where(has_hi, r_u / gu, 0.0)
             q_hat = np.concatenate([-e_eq, -e_in + r_ws / w]) if m_in else -e_eq
-            rhs = a_hat_b @ (dinv * q1[bounded]) - q_hat
-            v = m_solve(rhs)
+            q1_b = q1[bounded]
+            v = m_solve(a_hat_b @ (dinv * q1_b) - q_hat)
+            dz = np.empty(n)
             if n_free:
-                dz_f = solve_free_block(q1[free] - a_hat_f.T @ v)
+                dz[free] = dz_f = solve_free_block(q1[free] - a_hat_f.T @ v)
                 dy_hat = v + u_mat @ dz_f
             else:
-                dz_f = np.zeros(0)
                 dy_hat = v
-            dz = np.empty(n)
-            dz[bounded] = dinv * (q1[bounded] - a_hat_b_t @ dy_hat)
-            dz[free] = dz_f
+            dz[bounded] = dinv * (q1_b - a_hat_b_t @ dy_hat)
             dy = dy_hat[:m_eq]
             dw = dy_hat[m_eq:]
             ds = (-e_in - a_ub @ dz) if m_in else np.zeros(0)
@@ -687,15 +700,12 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
             return dz, ds, dw, dy, dzl, dzu
 
         def step_lengths(dz, ds, dw, dzl, dzu):
-            a_p = min(
-                _step_limit(s, ds) if m_in else np.inf,
-                _step_limit(gl[has_lo], dz[has_lo]),
-                _step_limit(gu[has_hi], -dz[has_hi]),
+            # one limit over every primal, and one over every dual, quantity
+            a_p = _step_limit(
+                np.concatenate([s, gl[has_lo], gu[has_hi]]), np.concatenate([ds, dz[has_lo], -dz[has_hi]])
             )
-            a_d = min(
-                _step_limit(w, dw) if m_in else np.inf,
-                _step_limit(zl[has_lo], dzl[has_lo]),
-                _step_limit(zu[has_hi], dzu[has_hi]),
+            a_d = _step_limit(
+                np.concatenate([w, zl[has_lo], zu[has_hi]]), np.concatenate([dw, dzl[has_lo], dzu[has_hi]])
             )
             return a_p, a_d
 

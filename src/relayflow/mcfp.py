@@ -26,12 +26,15 @@ from .capacity import capacity_matrix
 from .lp import LpResult, SolverOptions, StandardFormLP, check_kkt, solve
 from .network import CommoditySpec, Scenario, validate_weights
 
-# Epigraph variables are conceptually free, but a zero-weight commodity
-# leaves its epigraph value on an unbounded optimal ray and interior-point
-# iterates drift along it.  A deep floor keeps them bounded; optimal
-# epigraph values always lie in [0, 1] (injections are nonnegative and
-# capacities are at most 1), so the floor is never active at an optimum
-# and leaves values and duals unchanged.
+# Epigraph variables are conceptually free.  Optimal epigraph values lie
+# in [0, 1] (injections are nonnegative and capacities are at most 1), so
+# any negative floor is inactive at an optimum and leaves values and duals
+# unchanged.  solve_mcfp never passes a zero-weight commodity, whose
+# epigraph value would sit on an unbounded optimal ray, but the floor
+# stays at this depth: the interior point starts one-sided variables one
+# unit above their bound, so the depth steers its endgame on degenerate
+# LPs (at -1 far fewer solves stall into the simplex), and changing it
+# moves the ascent trajectories that the benchmark's reference values pin.
 _EPIGRAPH_FLOOR = -1e3
 
 
@@ -134,6 +137,13 @@ class McfpIndexMap:
         return pair * self.num_commodities + k
 
 
+def _source_entries(commodities) -> tuple[np.ndarray, np.ndarray]:
+    """``(src_k, src_i)``: the (commodity, source) pairs in commodity-major order."""
+    src_k = np.repeat(np.arange(len(commodities)), [len(com.sources) for com in commodities])
+    src_i = np.fromiter(chain.from_iterable(com.sources for com in commodities), dtype=int)
+    return src_k, src_i
+
+
 def _net_outflow(index: McfpIndexMap, nodes: np.ndarray, ks: np.ndarray):
     """COO entries ``(m, column, value)`` of the net outflow of commodity
     ``ks[m]`` at agent ``nodes[m]``: +1 on each flow leaving it, -1 on
@@ -151,8 +161,7 @@ def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
     """Emit the flow LP in standard form, in the layout :class:`McfpIndexMap` states."""
     n, num_k = inst.num_agents, inst.num_commodities
     pair_i, pair_j = np.nonzero(~np.eye(n, dtype=bool))
-    src_k = np.repeat(np.arange(num_k), [len(com.sources) for com in inst.commodities])
-    src_i = np.fromiter(chain.from_iterable(com.sources for com in inst.commodities), dtype=int)
+    src_k, src_i = _source_entries(inst.commodities)
     relays = np.asarray(inst.relay_set, dtype=int)
     index = McfpIndexMap(n, num_k, pair_i, pair_j, src_k, src_i, relays)
     num_s, num_p = src_k.size, pair_i.size
@@ -189,7 +198,13 @@ def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
 
 @dataclass
 class FlowSolution:
-    """Optimal flows, injections, utility and all dual variables."""
+    """Optimal flows, injections, utility and all dual variables.
+
+    Arrays cover every commodity of the instance; the rows of a
+    commodity of weight zero, which :func:`solve_mcfp` leaves out of the
+    LP, are exactly 0.  ``lp`` and ``lp_result`` are the LP that was
+    solved and its result (None when no LP was needed).
+    """
 
     phi: float
     r: np.ndarray  # (N, N, K) flows, zero diagonal
@@ -237,16 +252,29 @@ def solve_mcfp(
 ) -> FlowSolution:
     """Solve the flow LP and return a verified primal-dual solution.
 
+    Only the commodities of positive weight enter the LP.  A commodity
+    of weight zero adds nothing to phi and only competes for capacity,
+    so zero flows, injections, epigraph value and duals extend every
+    optimal pair of the smaller LP to an optimal pair of the full one:
+    its rows of ``r``, ``a``, ``t``, ``lam`` and ``nu`` are exactly 0,
+    and phi and ``mu`` are those of the full LP.  With no positive
+    weight the zero solution is optimal and no LP is solved.
+    ``sol.lp`` is the LP that was solved.
+
     Raises :class:`McfpSolveError` if the LP engine fails or the
-    returned point does not pass :func:`verify_solution`, so callers
-    never see unverified output.
+    returned point does not pass :func:`verify_solution` on ``inst``,
+    so callers never see unverified output.
     """
     opts = opts if opts is not None else SolverOptions()
     sol = _zero_solution(inst)
-    if inst.num_commodities == 0 or inst.num_agents < 2:
+    keep = np.flatnonzero(inst.weights > 0)
+    if keep.size == 0 or inst.num_agents < 2:
         return sol
 
-    lp, index = build_lp(inst)
+    weighted = inst if keep.size == inst.num_commodities else McfpInstance(
+        inst.capacities, [inst.commodities[k] for k in keep], inst.weights[keep], inst.relay_set
+    )
+    lp, index = build_lp(weighted)
     result = solve(lp, opts)
     if not result.optimal:
         raise McfpSolveError(
@@ -255,13 +283,15 @@ def solve_mcfp(
         )
 
     x, y_ineq = result.x, result.y_ineq
-    pairs, sources = (index.pair_i, index.pair_j), (index.src_k, index.src_i)
-    sol.r[pairs] = x[: index.a_col0].reshape(index.num_pairs, inst.num_commodities)
+    sources = (keep[index.src_k], index.src_i)
+    sol.r[index.pair_i[:, None], index.pair_j[:, None], keep] = x[: index.a_col0].reshape(
+        index.num_pairs, keep.size
+    )
     sol.a[sources] = x[index.a_col0 : index.t_col0]
-    sol.t[:] = x[index.t_col0 : index.t_col0 + inst.num_commodities]
+    sol.t[keep] = x[index.t_col0 :]
     sol.lam[sources] = y_ineq[index.src_k.size : index.cap_row0]
-    sol.nu[:, index.relays] = result.y_eq.reshape(inst.num_commodities, index.relays.size)
-    sol.mu[pairs] = y_ineq[index.cap_row0 :]
+    sol.nu[keep[:, None], index.relays] = result.y_eq.reshape(keep.size, index.relays.size)
+    sol.mu[index.pair_i, index.pair_j] = y_ineq[index.cap_row0 :]
     sol.phi, sol.gap, sol.status = float(result.objective), float(result.gap), result.status
     sol.iterations, sol.lp, sol.lp_result = result.iterations, lp, result
 
@@ -324,21 +354,19 @@ def verify_solution(
     slack = inst.capacities - total_flow
     off_diag = ~np.eye(inst.num_agents, dtype=bool)
 
-    residuals = [
+    net_out = sol.r.sum(axis=1) - sol.r.sum(axis=0)  # (N, K): net outflow per node
+    relays = np.asarray(inst.relay_set, dtype=int)
+    src_k, src_i = _source_entries(inst.commodities)
+    a_src = sol.a[src_k, src_i]
+    primal = max(
         float(np.max(-slack[off_diag], initial=0.0)),  # capacity respected
         float(np.max(-sol.r, initial=0.0)),  # flow bounds
         float(np.max(sol.r - 1.0, initial=0.0)),
         float(np.max(-sol.a, initial=0.0)),  # injections nonnegative
-        float(np.max(np.abs(_relay_imbalance(inst, sol)), initial=0.0)),
-    ]
-    out_flow = sol.r.sum(axis=1)  # (N, K): total outflow per node
-    in_flow = sol.r.sum(axis=0)
-    for k, com in enumerate(inst.commodities):
-        for i in com.sources:
-            net = out_flow[i, k] - in_flow[i, k]
-            residuals.append(float(sol.a[k, i] - net))  # injection bounded by net outflow
-            residuals.append(float(sol.t[k] - sol.a[k, i]))  # epigraph feasibility
-    primal = max(0.0, *residuals)
+        float(np.max(np.abs(net_out[relays]), initial=0.0)),  # relays conserve flow
+        float(np.max(a_src - net_out[src_i, src_k], initial=0.0)),  # injection bounded by net outflow
+        float(np.max(sol.t[src_k] - a_src, initial=0.0)),  # epigraph feasibility
+    )
 
     dual = max(
         float(np.max(-sol.mu, initial=0.0)),
@@ -364,16 +392,6 @@ def verify_solution(
         tol=tol,
         slack_threshold=slack_threshold,
     )
-
-
-def _relay_imbalance(inst: McfpInstance, sol: FlowSolution) -> np.ndarray:
-    """Net outflow minus inflow per (commodity, relay)."""
-    if not inst.relay_set:
-        return np.zeros(0)
-    out_flow = sol.r.sum(axis=1)  # (N, K) total outflow per node
-    in_flow = sol.r.sum(axis=0)
-    rows = np.asarray(inst.relay_set, dtype=int)
-    return (out_flow[rows, :] - in_flow[rows, :]).ravel()
 
 
 def flow_solution_to_dict(sol: FlowSolution, drop_tol: float = 1e-9) -> dict:

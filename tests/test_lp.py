@@ -207,13 +207,13 @@ def fake_blas(monkeypatch):
 
 def test_dense_solve_runs_on_one_blas_thread(fake_blas, monkeypatch):
     seen = []
-    real_cho_factor = lp_module.cho_factor
+    real_potrf = lp_module._potrf
 
-    def spying_cho_factor(*args, **kwargs):
+    def spying_potrf(*args, **kwargs):
         seen.append(counts(fake_blas))
-        return real_cho_factor(*args, **kwargs)
+        return real_potrf(*args, **kwargs)
 
-    monkeypatch.setattr(lp_module, "cho_factor", spying_cho_factor)
+    monkeypatch.setattr(lp_module, "_potrf", spying_potrf)
     res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
     assert res.optimal
     assert seen and all(counts == [1, 1] for counts in seen)
@@ -237,11 +237,11 @@ def test_simplex_rescue_runs_inside_the_blas_scope(fake_blas, monkeypatch):
 
 
 def test_blas_scope_restores_counts_after_a_raise(fake_blas, monkeypatch):
-    def failing_cho_factor(*args, **kwargs):
+    def failing_potrf(*args, **kwargs):
         assert counts(fake_blas) == [1, 1]
         raise RuntimeError("factorization blew up")
 
-    monkeypatch.setattr(lp_module, "cho_factor", failing_cho_factor)
+    monkeypatch.setattr(lp_module, "_potrf", failing_potrf)
     with pytest.raises(RuntimeError, match="blew up"):
         solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
     assert counts(fake_blas) == [2, 3]
@@ -289,13 +289,13 @@ def test_sparse_solve_runs_on_one_blas_thread(fake_blas, monkeypatch):
     # a threshold of 1 puts every LP with rows on the sparse path
     monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
     seen = []
-    real_cho_factor = lp_module.cho_factor
+    real_potrf = lp_module._potrf
 
-    def spying_cho_factor(*args, **kwargs):
+    def spying_potrf(*args, **kwargs):
         seen.append(counts(fake_blas))
-        return real_cho_factor(*args, **kwargs)
+        return real_potrf(*args, **kwargs)
 
-    monkeypatch.setattr(lp_module, "cho_factor", spying_cho_factor)
+    monkeypatch.setattr(lp_module, "_potrf", spying_potrf)
     res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
     assert res.optimal
     assert seen and all(counts == [1, 1] for counts in seen)
@@ -444,3 +444,55 @@ def test_block_normal_solver_solves_the_normal_equations():
     for rhs in (rng.normal(size=a_hat.shape[0]), rng.normal(size=(a_hat.shape[0], 3))):
         expected = np.linalg.solve(m_mat, rhs)
         np.testing.assert_allclose(m_solve(rhs), expected, rtol=0, atol=1e-9 * np.abs(expected).max())
+
+
+
+def test_normal_solvers_match_scipy_cholesky_bit_for_bit(monkeypatch):
+    from scipy.linalg import cho_factor, cho_solve
+
+    def scipy_factor(mat):
+        # the factor as the solver took it through scipy's wrappers
+        for attempt in range(6):
+            try:
+                return cho_factor(mat, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                jitter = 1e-12 * (10.0**attempt) * (1.0 + float(np.max(np.abs(mat))))
+                mat[np.diag_indices_from(mat)] += jitter
+        return None
+
+    def assert_matches_scipy(make_solver, num_rows):
+        rhs_list = [rng.normal(size=num_rows), rng.normal(size=(num_rows, 3))]
+        direct = make_solver()
+        got = [direct(rhs) for rhs in rhs_list]
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_cho_factor_jittered", scipy_factor)
+            patch.setattr(lp_module, "_cho_solve", lambda f, rhs: cho_solve(f, rhs, check_finite=False))
+            reference = make_solver()
+            for rhs, out in zip(rhs_list, got):
+                assert np.array_equal(out, reference(rhs))
+
+    rng = np.random.default_rng(12)
+    m, n = 9, 20
+    a = rng.normal(size=(m, n))
+    dinv = 10.0 ** rng.uniform(-3, 3, n)
+    e_diag = rng.uniform(0.0, 1.0, m)
+    assert_matches_scipy(lambda: lp_module._dense_normal_solver(a, dinv, e_diag), m)
+
+    # an empty row without slack makes M singular: the factor needs the jitter retry
+    a[4], e_diag[4] = 0.0, 0.0
+    m_mat = (a * dinv) @ a.T + np.diag(e_diag)
+    assert lp_module._potrf(m_mat, lower=1)[1] > 0
+    assert_matches_scipy(lambda: lp_module._dense_normal_solver(a, dinv, e_diag), m)
+
+    lp, _, a_hat = flow_lp()
+    rows = lp_module._disjoint_rows(a_hat)
+    flow_dinv = 10.0 ** rng.uniform(-3, 3, lp.num_vars)
+    flow_e = np.concatenate([np.zeros(lp.num_eq), rng.uniform(0.1, 1.0, lp.num_ineq)])
+    assert_matches_scipy(lambda: lp_module._block_normal_solver(a_hat, rows, flow_dinv, flow_e), a_hat.shape[0])
+
+    # every column in one row: every row is eliminated and the Schur complement is empty
+    diagonal = sp.csr_matrix((rng.normal(size=n), (np.arange(n) % m, np.arange(n))), shape=(m, n))
+    rows = lp_module._disjoint_rows(diagonal)
+    assert rows.size == m
+    e_diag = rng.uniform(0.1, 1.0, m)
+    assert_matches_scipy(lambda: lp_module._block_normal_solver(diagonal, rows, dinv, e_diag), m)

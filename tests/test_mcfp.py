@@ -192,6 +192,17 @@ def test_verify_catches_hand_perturbed_flow(bridge_scenario):
     assert report.primal_residual >= 0.1 - 1e-6
 
 
+def test_verify_catches_injection_above_net_outflow(bridge_scenario):
+    inst = build_instance(bridge_scenario, [1.0, 1.0])
+    sol = solve_mcfp(inst)
+    k, i = 1, inst.commodities[1].sources[0]
+    a_bad = sol.a.copy()
+    a_bad[k, i] += 0.1  # nonnegative and above t_k, so only the net-outflow row breaks
+    report = verify_solution(inst, dataclasses.replace(sol, a=a_bad))
+    assert not report.passed
+    assert report.primal_residual == pytest.approx(0.1, abs=1e-6)
+
+
 def test_slack_edges_carry_no_price(model):
     # one-hot weights leave the edges serving other commodities unused
     scenario = Scenario(
@@ -350,19 +361,34 @@ def _reduced_costs(inst, sol):
 
 
 def test_every_solve_is_verified(model):
-    for seed in range(3):
-        scenario = spawn_scenario(ScenarioConfig(num_task=4, num_relay=2, rng_seed=50 + seed), model)
-        for kind in ["adhoc", "ap:1", "subset:0,2"]:
-            inst = build_instance(scenario, weight_preset(kind, 4))
-            sol = solve_mcfp(inst)
-            report = verify_solution(inst, sol)
-            assert report.passed, (seed, kind, report)
-            # no flow column below its upper bound prices positive, and
-            # flow runs only on columns of zero reduced cost
-            rc = _reduced_costs(inst, sol)
-            off_diag = ~np.eye(inst.num_agents, dtype=bool)
-            assert np.max(rc[sol.r < 1 - 1e-6]) <= 1e-6, (seed, kind)
-            assert np.max(np.abs(rc * sol.r)[off_diag]) <= 1e-6, (seed, kind)
+    cases = [
+        (ScenarioConfig(num_task=4, num_relay=2, rng_seed=50 + seed), kind)
+        for seed in range(3)
+        for kind in ["adhoc", "ap:1", "subset:0,2"]
+    ]
+    # the mobile-team layout of the benchmark: one weighted commodity of five
+    cases.append((ScenarioConfig(num_task=5, num_relay=2, rng_seed=21), "ap:0"))
+    for config, kind in cases:
+        scenario = spawn_scenario(config, model)
+        inst = build_instance(scenario, weight_preset(kind, config.num_task))
+        sol = solve_mcfp(inst)
+        report = verify_solution(inst, sol)
+        assert report.passed, (config, kind, report)
+        # the LP leaves out the zero-weight commodities, which keep exact zero
+        # rows, and still reaches the optimum of the full LP
+        zero = inst.weights == 0
+        for arr in (sol.r[:, :, zero], sol.a[zero], sol.t[zero], sol.lam[zero], sol.nu[zero]):
+            assert not arr.any(), (config, kind)
+        full = scipy_linprog_solve(build_lp(inst)[0])
+        assert full.optimal
+        assert abs(sol.phi - full.objective) <= 1e-9 * (1.0 + abs(sol.phi)), (config, kind)
+        # no flow column below its upper bound prices positive, and
+        # flow runs only on columns of zero reduced cost
+        rc = _reduced_costs(inst, sol)
+        off_diag = ~np.eye(inst.num_agents, dtype=bool)
+        assert np.max(rc[sol.r < 1 - 1e-6]) <= 1e-6, (config, kind)
+        assert np.max(np.abs(rc * sol.r)[off_diag]) <= 1e-6, (config, kind)
+    assert sol.lp.num_vars == 47  # 42 flows, 4 injections and 1 epigraph value; 235 for all five
 
 
 def test_sparse_path_solve_of_a_spawned_team(model):
@@ -404,13 +430,20 @@ def test_engines_agree_on_random_and_degenerate_scenarios(model):
         points=[2.5, 0.0, 2.5, 0.0, 1.0, 0.5, 2.5, 1.5] + [0.0] * 4,
         weights=[1.0, 0.5, 0.5, 0.5],
     )
+    @hyp.example(num_task=3, num_relay=1, points=[0.5 * step for step in range(12)], weights=[0.0] * 4)
     def check(num_task, num_relay, points, weights):
         pts = np.reshape(points[: 2 * (num_task + num_relay)], (-1, 2))
         scenario = Scenario(pts[:num_task], pts[num_task:], model, default_commodities(num_task))
         inst = build_instance(scenario, weights[:num_task])
         phis = [solve_mcfp(inst, SolverOptions(engine=engine)).phi for engine in engines]
+        # the LP with every commodity, zero weights included, as one more reference
+        full = scipy_linprog_solve(build_lp(inst)[0])
+        assert full.optimal
+        phis.append(full.objective)
         for phi in phis[1:]:
             assert abs(phi - phis[0]) <= 1e-6 * (1.0 + abs(phis[0])), phis
+        if not any(weights[:num_task]):
+            assert phis == [0.0] * len(phis)
 
     check()
 
