@@ -130,7 +130,7 @@ def cmd_solve(args) -> int:
     inst = build_instance(scenario, weights)
     t0 = time.perf_counter()
     try:
-        sol = solve_mcfp(inst, SolverOptions(gap_tol=args.gap_tol, feas_tol=args.gap_tol))
+        sol = solve_mcfp(inst, SolverOptions(tol=args.gap_tol))
     except McfpSolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         # the engine produced output that failed verification, as opposed

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ascent import AscentConfig, ascend, gradient_from_duals
+from .ascent import ascend, gradient_from_duals
 from .lp import SolverOptions
 from .mcfp import McfpSolveError, build_instance, solve_mcfp
 from .network import Scenario, area_side, validate_weights
@@ -206,13 +206,12 @@ def run_simulation(
     weights,
     cfg: MotionConfig,
     pre_optimize: bool = True,
-    ascent_config: Optional[AscentConfig] = None,
     opts: Optional[SolverOptions] = None,
 ) -> SimTimeline:
     """Simulate a mobile team for ``cfg.duration`` seconds.
 
     Relays start from positions optimized for the initial task layout
-    (``pre_optimize``), then every tick they chase the latest climb
+    (``pre_optimize``, a default-config ascent), then every tick they chase the latest climb
     direction while task agents drift.  A run of T seconds at step dt
     yields round(T/dt) + 1 snapshots including the initial one.
     """
@@ -226,7 +225,7 @@ def run_simulation(
         raise ValueError("pinned task index out of range")
 
     if pre_optimize and scenario.num_relay:
-        trace = ascend(scenario, w, ascent_config, opts)
+        trace = ascend(scenario, w, opts=opts)
         scenario = scenario.with_relay_positions(trace.final_relay_positions)
 
     rng = np.random.default_rng(cfg.rng_seed)

@@ -22,10 +22,13 @@ remaining rows is factored densely.  Every solve runs on one OpenBLAS
 thread.  Interior-point iterates
 converge to the analytic center of the optimal face, so when the dual
 optimum is not unique the reported duals are the centered ones, which
-is what a subgradient-style consumer wants.  When progress stalls
-short of the target, as it can on degenerate problems, the problem is
-handed to the exact two-phase simplex engine in
-:mod:`relayflow.simplex`.
+is what a subgradient-style consumer wants.  A solve ends in one of
+three ways: the interior point converges, it detects a diverging
+objective (infeasible or unbounded), or it hands the problem to the
+exact two-phase simplex engine in :mod:`relayflow.simplex`, whose
+result it returns.  The hand-off happens when progress stalls short of
+the target, as it can on degenerate problems, and also when a step
+collapses, a factorization fails or the iteration cap is reached.
 
 Any callable with the signature ``engine(lp, options) -> LpResult`` can
 be plugged in through ``SolverOptions.engine``; an adapter around
@@ -102,10 +105,13 @@ class StandardFormLP:
         self.hi = np.full(n, np.inf) if self.hi is None else np.asarray(self.hi, dtype=float).reshape(-1)
         if self.lo.shape[0] != n or self.hi.shape[0] != n:
             raise ValueError("bound vectors must match the variable count")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
-        if not np.all(np.isfinite(self.c)):
-            raise ValueError("objective coefficients must be finite")
+        data = (self.c, self.b_ub, self.b_eq, self.a_ub.data, self.a_eq.data)
+        if not all(np.isfinite(arr).all() for arr in data):
+            raise ValueError("objective, constraint matrices and right-hand sides must be finite")
 
     @property
     def num_vars(self) -> int:
@@ -122,14 +128,15 @@ class StandardFormLP:
 
 @dataclass
 class SolverOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
+    tol: float = 1e-8  # relative duality gap and primal/dual infeasibility
     engine: Optional[Callable] = None
 
 
 @dataclass
 class LpResult:
-    status: str  # optimal | infeasible | unbounded | iteration_limit | numerical
+    # optimal | infeasible | unbounded | numerical, or iteration_limit from
+    # the HiGHS adapter
+    status: str
     x: np.ndarray
     objective: float
     y_ineq: np.ndarray
@@ -143,14 +150,6 @@ class LpResult:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-class LpError(RuntimeError):
-    """Solve did not produce a verified optimal point."""
-
-    def __init__(self, message: str, result: Optional[LpResult] = None):
-        super().__init__(message)
-        self.result = result
 
 
 @dataclass(frozen=True)
@@ -497,15 +496,17 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     Works on the minimization form internally; the duals it returns are
     already in the maximization convention of :class:`StandardFormLP`
     (identical algebra, no sign flips needed).  Aims one order of
-    magnitude below the requested tolerances.
+    magnitude below ``SolverOptions.tol`` in relative duality gap and
+    in primal and dual infeasibility.
 
-    Degenerate problems can make progress level off near a relative
-    accuracy of 1e-6 in double precision; such a stall is handed to the
-    exact simplex engine (:func:`relayflow.simplex.solve_simplex`).  If
-    the simplex fails too, the best iterate is reported: as optimal when
-    it meets the requested tolerances, otherwise as ``iteration_limit``.
-    Every returned point, whichever path produced it, satisfies the
-    advertised tolerances or carries a non-optimal status saying why not.
+    The result is ``optimal`` ("converged") when the target is met, and
+    ``infeasible`` or ``unbounded`` when the dual or primal objective
+    diverges.  Otherwise (degenerate problems can make progress level
+    off near a relative accuracy of 1e-6 in double precision; a step can
+    also collapse, a factorization fail, or ``_MAX_ITERS`` run out) it is
+    the result of the exact simplex engine
+    (:func:`relayflow.simplex.solve_simplex`), returned as is, with the
+    interior-point iterations added to ``iterations``.
 
     Problems with at most ``_DENSE_MAX_ENTRIES`` constraint-matrix
     entries are solved on dense arrays.  Larger ones keep the constraint
@@ -564,17 +565,13 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
     )
     scale_obj = 1.0 + float(np.max(np.abs(f), initial=0.0))
 
-    # aim one order below the user's tolerances; report against the user's
-    gap_target = max(1e-10, 1e-1 * opts.gap_tol)
-    feas_target = max(1e-10, 1e-1 * opts.feas_tol)
-
-    best = None
-    best_err = np.inf
+    target = max(1e-10, 1e-1 * opts.tol)  # one order below the requested tolerance
     progress_err = np.inf
     stall_count = 0
     eta = 0.9995
 
-    for iteration in range(1, _MAX_ITERS + 1):
+    iters = 0  # Newton steps taken
+    while iters < _MAX_ITERS:
         gl = np.where(has_lo, z - lp.lo, 1.0)
         gu = np.where(has_hi, lp.hi - z, 1.0)
 
@@ -607,29 +604,21 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
             stall_count = 0
         else:
             stall_count += 1
-        if err < best_err:
-            best_err = err
-            best = (
-                z.copy(), w.copy(), y.copy(), zl.copy(), zu.copy(),
-                rel_gap, iteration - 1,
-            )
 
-        if rel_gap <= gap_target and rel_pinf <= feas_target and rel_dinf <= feas_target:
-            return _result_from_iterate(
-                lp, "optimal", z, w, y, zl, zu, rel_gap, iteration - 1, "converged"
-            )
+        if rel_gap <= target and rel_pinf <= target and rel_dinf <= target:
+            return _result_from_iterate(lp, "optimal", z, w, y, zl, zu, rel_gap, iters, "converged")
 
         if stall_count >= 12:
-            break  # numerically stuck; hand over to the simplex
+            break  # numerically stuck
 
         if d_obj > _HUGE * scale_obj and rel_dinf <= 1e-4:
             return _result_from_iterate(
-                lp, "infeasible", z, w, y, zl, zu, rel_gap, iteration - 1,
+                lp, "infeasible", z, w, y, zl, zu, rel_gap, iters,
                 "dual objective diverging: primal infeasible",
             )
         if p_obj < -_HUGE * scale_obj and rel_pinf <= 1e-4:
             return _result_from_iterate(
-                lp, "unbounded", z, w, y, zl, zu, rel_gap, iteration - 1,
+                lp, "unbounded", z, w, y, zl, zu, rel_gap, iters,
                 "primal objective diverging: problem unbounded",
             )
 
@@ -753,30 +742,15 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
         y += a_d * dy
         zl += a_d * dzl
         zu += a_d * dzu
+        iters += 1
 
-    # did not hit the tight target; hand the problem to the exact simplex
-    # engine, then report the best iterate honestly
-    if best is not None:
-        z_b, w_b, y_b, zl_b, zu_b, gap_b, it_b = best
-        from .simplex import solve_simplex
+    # stalled, collapsed step, failed factor or iteration cap: the exact
+    # simplex engine decides
+    from .simplex import solve_simplex
 
-        rescue = solve_simplex(lp, opts)
-        if rescue.status in ("optimal", "infeasible", "unbounded"):
-            rescue.iterations += it_b
-            return rescue
-        if best_err <= max(opts.gap_tol, opts.feas_tol):
-            return _result_from_iterate(
-                lp, "optimal", z_b, w_b, y_b, zl_b, zu_b, gap_b, it_b,
-                f"converged to {best_err:.2e} (tight target not reached)",
-            )
-        return _result_from_iterate(
-            lp, "iteration_limit", z_b, w_b, y_b, zl_b, zu_b, gap_b, it_b,
-            f"best relative error {best_err:.2e} after {_MAX_ITERS} iterations",
-        )
-    return LpResult(
-        "numerical", z, float(lp.c @ z), w, y, zl, zu, np.inf, _MAX_ITERS,
-        "factorization failed on the first iteration",
-    )
+    result = solve_simplex(lp, opts)
+    result.iterations += iters
+    return result
 
 
 # ---------------------------------------------------------------------------

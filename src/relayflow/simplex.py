@@ -34,7 +34,7 @@ _DEGENERATE_RUN = 30
 
 
 def _build_equality_form(lp: StandardFormLP):
-    n, m_in, m_eq = lp.num_vars, lp.num_ineq, lp.num_eq
+    m_in, m_eq = lp.num_ineq, lp.num_eq
     m_rows = m_in + m_eq
     top = sp.hstack([lp.a_ub, sp.eye(m_in, format="csr")], format="csr")
     if m_eq:
@@ -52,9 +52,9 @@ def _build_equality_form(lp: StandardFormLP):
 
 
 def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
-    """Solve the LP exactly with a two-phase bounded-variable simplex."""
-    opts = opts if opts is not None else SolverOptions()
-    n, m_in, m_eq = lp.num_vars, lp.num_ineq, lp.num_eq
+    """Solve the LP exactly with a two-phase bounded-variable simplex
+    (``opts`` is accepted for the engine signature and not read)."""
+    n, m_in = lp.num_vars, lp.num_ineq
     mat, rhs, lb, ub, cost, m_rows = _build_equality_form(lp)
     n_struct = mat.shape[1]
 
@@ -63,22 +63,15 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
 
         return _solve_box_only(lp)
 
-    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
     rc_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost), initial=0.0)))
 
-    # start every structural variable on its nearest bound (free ones at 0)
+    # start every structural variable on its lower bound, else on its
+    # upper bound, else (free) at 0; the artificials form the basis
+    has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
     x = np.zeros(n_struct + m_rows)
-    status = np.full(n_struct + m_rows, _AT_LO, dtype=np.int8)
-    for j in range(n_struct):
-        if np.isfinite(lb[j]):
-            x[j] = lb[j]
-            status[j] = _AT_LO
-        elif np.isfinite(ub[j]):
-            x[j] = ub[j]
-            status[j] = _AT_HI
-        else:
-            x[j] = 0.0
-            status[j] = _FREE0
+    x[:n_struct] = np.where(has_lb, lb, np.where(has_ub, ub, 0.0))
+    status = np.full(n_struct + m_rows, _BASIC, dtype=np.int8)
+    status[:n_struct] = np.where(has_lb, _AT_LO, np.where(has_ub, _AT_HI, _FREE0))
 
     resid = rhs - mat @ x[:n_struct]
     art_sign = np.where(resid >= 0.0, 1.0, -1.0)
@@ -89,7 +82,6 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
     x[n_struct:] = np.abs(resid)
 
     basis = np.arange(n_struct, n_struct + m_rows)
-    status[n_struct:] = _BASIC
     n_tot = n_struct + m_rows
 
     phase1_cost = np.concatenate([np.zeros(n_struct), np.ones(m_rows)])
@@ -145,33 +137,19 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
             d = b_inv @ col(enter)
             # max step before a basic variable or the entering bound blocks
             theta = ub_full[enter] - lb_full[enter] if status[enter] != _FREE0 else np.inf
-            leave_pos = -1
-            leave_to = _AT_LO
+            # a falling basic variable blocks at its lower bound, a rising
+            # one at its upper; ties within 1e-12 go to the lowest basis index
             xb = x[basis]
-            for i in range(m_rows):
-                delta = -sigma * d[i]
-                if delta < -1e-11:
-                    room = xb[i] - lb_full[basis[i]]
-                    if np.isfinite(room):
-                        t = room / -delta
-                        if t < theta - 1e-12 or (
-                            abs(t - theta) <= 1e-12
-                            and (leave_pos < 0 or basis[i] < basis[leave_pos])
-                        ):
-                            theta = t
-                            leave_pos = i
-                            leave_to = _AT_LO
-                elif delta > 1e-11:
-                    room = ub_full[basis[i]] - xb[i]
-                    if np.isfinite(room):
-                        t = room / delta
-                        if t < theta - 1e-12 or (
-                            abs(t - theta) <= 1e-12
-                            and (leave_pos < 0 or basis[i] < basis[leave_pos])
-                        ):
-                            theta = t
-                            leave_pos = i
-                            leave_to = _AT_HI
+            delta = -sigma * d
+            room = np.where(delta < 0, xb - lb_full[basis], ub_full[basis] - xb)
+            rows = np.flatnonzero((np.abs(delta) > 1e-11) & np.isfinite(room))
+            leave_pos = -1
+            for i, t in zip(rows.tolist(), (room[rows] / np.abs(delta[rows])).tolist()):
+                if t < theta - 1e-12 or (
+                    abs(t - theta) <= 1e-12 and (leave_pos < 0 or basis[i] < basis[leave_pos])
+                ):
+                    theta = t
+                    leave_pos = i
             if not np.isfinite(theta):
                 return "unbounded"
             theta = max(theta, 0.0)
@@ -184,6 +162,7 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
                 status[enter] = _AT_HI if sigma > 0 else _AT_LO
                 continue
             leaving = basis[leave_pos]
+            leave_to = _AT_LO if delta[leave_pos] < 0 else _AT_HI
             x[leaving] = lb_full[leaving] if leave_to == _AT_LO else ub_full[leaving]
             status[leaving] = leave_to
             basis[leave_pos] = enter

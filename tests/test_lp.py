@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from relayflow import (
+    McfpSolveError,
     ScenarioConfig,
     SolverOptions,
     StandardFormLP,
@@ -15,6 +16,7 @@ from relayflow import (
     scipy_linprog_solve,
     solve,
     solve_interior_point,
+    solve_mcfp,
     spawn_scenario,
     weight_preset,
 )
@@ -170,6 +172,44 @@ def test_solve_validates_shapes():
         StandardFormLP(c=[1.0], lo=[2.0], hi=[1.0])
 
 
+SMALL_LP = dict(
+    c=[1.0, 2.0],
+    a_ub=[[1.0, 1.0], [1.0, 0.0]],
+    b_ub=[3.0, 1.0],
+    a_eq=[[1.0, -1.0]],
+    b_eq=[0.0],
+    lo=[0.0, 0.0],
+    hi=[4.0, 4.0],
+)
+
+
+@pytest.mark.parametrize(
+    "name, index, value",
+    [
+        ("c", 0, np.nan),
+        ("c", 1, np.inf),
+        ("b_ub", 0, np.nan),
+        ("b_ub", 1, np.inf),
+        ("b_ub", 1, -np.inf),
+        ("b_eq", 0, np.nan),
+        ("b_eq", 0, np.inf),
+        ("a_ub", (0, 1), np.nan),
+        ("a_ub", (1, 0), -np.inf),
+        ("a_eq", (0, 0), np.nan),
+        ("a_eq", (0, 1), np.inf),
+        ("lo", 0, np.nan),
+        ("hi", 1, np.nan),
+    ],
+)
+def test_non_finite_inputs_are_rejected(name, index, value):
+    # each engine would give a non-finite problem a different answer
+    data = {key: np.array(val, dtype=float) for key, val in SMALL_LP.items()}
+    StandardFormLP(**data)
+    data[name][index] = value
+    with pytest.raises(ValueError, match="finite|NaN"):
+        StandardFormLP(**data)
+
+
 def boxed_lp(rng, n, m_in):
     """A feasible, bounded LP with ``m_in`` dense inequality rows."""
     a = rng.normal(size=(m_in, n))
@@ -234,6 +274,28 @@ def test_simplex_rescue_runs_inside_the_blas_scope(fake_blas, monkeypatch):
     assert res.optimal
     assert seen == [[1, 1]]
     assert counts(fake_blas) == [2, 3]
+
+
+def test_interior_point_returns_the_simplex_verdict_when_it_stops_short(monkeypatch):
+    # the only way out of the interior point besides converging or
+    # diverging is the simplex, whose result is returned as it is
+    verdicts = []
+
+    def giving_up(lp, opts=None):
+        verdicts.append(simplex_module._failure(lp, "numerical", "simplex gave up"))
+        return verdicts[-1]
+
+    monkeypatch.setattr(simplex_module, "solve_simplex", giving_up)
+    monkeypatch.setattr(lp_module, "_MAX_ITERS", 1)
+    res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
+    assert res is verdicts[-1]
+    assert res.status == "numerical" and res.iterations == 1
+
+    scenario = spawn_scenario(ScenarioConfig(num_task=3, num_relay=1, rng_seed=0))
+    with pytest.raises(McfpSolveError) as excinfo:
+        solve_mcfp(build_instance(scenario, weight_preset("adhoc", len(scenario.commodities))))
+    assert excinfo.value.lp_result is verdicts[-1]
+    assert excinfo.value.lp_result.status == "numerical"
 
 
 def test_blas_scope_restores_counts_after_a_raise(fake_blas, monkeypatch):

@@ -467,3 +467,19 @@ def test_instance_validation():
         McfpInstance(np.array([[0.0, 0.5], [0.4, 0.0]]), default_commodities(2), [1, 1], ())
     with pytest.raises(ValueError):
         McfpInstance(np.array([[0.1, 0.5], [0.5, 0.1]]), default_commodities(2), [1, 1], ())
+
+
+@pytest.mark.parametrize("c01, c10, symmetric", [
+    (0.5, 0.5, True),
+    (0.5, 0.5 + 4e-6, True),  # within np.allclose's default rtol of 1e-5
+    (0.0, 1e-12, True),  # within its atol of 1e-12
+    (0.5, 0.5 + 6e-6, False),
+    (0.0, 2e-12, False),
+])
+def test_instance_symmetry_tolerance(c01, c10, symmetric):
+    caps = np.array([[0.0, c01], [c10, 0.0]])
+    if symmetric:
+        McfpInstance(caps, default_commodities(2), [1, 1], ())
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            McfpInstance(caps, default_commodities(2), [1, 1], ())
