@@ -211,8 +211,8 @@ def run_simulation(
     """Simulate a mobile team for ``cfg.duration`` seconds.
 
     Relays start from positions optimized for the initial task layout
-    (``pre_optimize``, a default-config ascent), then every tick they chase the latest climb
-    direction while task agents drift.  A run of T seconds at step dt
+    (``pre_optimize``, by a default-config ascent), then every tick they
+    chase the latest climb direction while task agents drift.  A run of T seconds at step dt
     yields round(T/dt) + 1 snapshots including the initial one.
     """
     w = validate_weights(weights, len(scenario.commodities))
