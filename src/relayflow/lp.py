@@ -24,11 +24,13 @@ converge to the analytic center of the optimal face, so when the dual
 optimum is not unique the reported duals are the centered ones, which
 is what a subgradient-style consumer wants.  A solve ends in one of
 three ways: the interior point converges, it detects a diverging
-objective (infeasible or unbounded), or it hands the problem to the
-exact two-phase simplex engine in :mod:`relayflow.simplex`, whose
-result it returns.  The hand-off happens when progress stalls short of
-the target, as it can on degenerate problems, and also when a step
-collapses, a factorization fails or the iteration cap is reached.
+objective (infeasible or unbounded), or it hands the problem to an
+exact engine, whose result it returns: the dense two-phase simplex in
+:mod:`relayflow.simplex` on the dense path, HiGHS on the sparse one.
+The hand-off happens when progress stalls short of the target, as it
+can on degenerate problems, and also when a step collapses, a
+factorization fails or the iteration cap is reached.  LPs without
+rows go straight to the simplex.
 
 Any callable with the signature ``engine(lp, options) -> LpResult`` can
 be plugged in through ``SolverOptions.engine``; an adapter around
@@ -51,7 +53,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 _HUGE = 1e12
-# interior-point iteration cap; a solve that reaches it goes to the simplex
+# interior-point iteration cap; a solve that reaches it goes to an exact engine
 _MAX_ITERS = 200
 # constraint-matrix entries (variables x rows) up to which the interior
 # point works on dense arrays; larger problems take the block-elimination path
@@ -130,6 +132,10 @@ class StandardFormLP:
 class SolverOptions:
     tol: float = 1e-8  # relative duality gap and primal/dual infeasibility
     engine: Optional[Callable] = None
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass
@@ -328,7 +334,7 @@ def _initial_point(lp, has_lo, has_hi):
     z[only_lo] = lp.lo[only_lo] + 1.0
     only_hi = has_hi & ~has_lo
     z[only_hi] = lp.hi[only_hi] - 1.0
-    s = np.maximum(1.0, lp.b_ub - lp.a_ub @ z) if lp.num_ineq else np.zeros(0)
+    s = np.maximum(1.0, lp.b_ub - lp.a_ub @ z)
     w = np.ones(lp.num_ineq)
     y = np.zeros(lp.num_eq)
     zl = np.where(has_lo, 1.0, 0.0)
@@ -448,33 +454,6 @@ def _block_normal_solver(
     return m_solve
 
 
-def _solve_box_only(lp: StandardFormLP) -> LpResult:
-    # No rows at all: optimum sits on the bounds picked by the objective sign.
-    z = np.zeros(lp.num_vars)
-    zl = np.zeros(lp.num_vars)
-    zu = np.zeros(lp.num_vars)
-    for j in range(lp.num_vars):
-        cj, lo_j, hi_j = lp.c[j], lp.lo[j], lp.hi[j]
-        if cj > 0:
-            if not np.isfinite(hi_j):
-                return LpResult(
-                    "unbounded", z, np.inf, np.zeros(0), np.zeros(0), zl, zu, np.inf, 0,
-                    f"variable {j} increases the objective without an upper bound",
-                )
-            z[j], zu[j] = hi_j, cj
-        elif cj < 0:
-            if not np.isfinite(lo_j):
-                return LpResult(
-                    "unbounded", z, np.inf, np.zeros(0), np.zeros(0), zl, zu, np.inf, 0,
-                    f"variable {j} decreases the objective without a lower bound",
-                )
-            z[j], zl[j] = lo_j, -cj
-        else:
-            z[j] = lo_j if np.isfinite(lo_j) else (hi_j if np.isfinite(hi_j) else 0.0)
-    obj = float(lp.c @ z)
-    return LpResult("optimal", z, obj, np.zeros(0), np.zeros(0), zl, zu, 0.0, 0, "bounds only")
-
-
 def _result_from_iterate(lp, status, z, w, y, zl, zu, gap, iters, message=""):
     return LpResult(
         status=status,
@@ -503,10 +482,14 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     ``infeasible`` or ``unbounded`` when the dual or primal objective
     diverges.  Otherwise (degenerate problems can make progress level
     off near a relative accuracy of 1e-6 in double precision; a step can
-    also collapse, a factorization fail, or ``_MAX_ITERS`` run out) it is
-    the result of the exact simplex engine
-    (:func:`relayflow.simplex.solve_simplex`), returned as is, with the
-    interior-point iterations added to ``iterations``.
+    also collapse, a factorization fail, or ``_MAX_ITERS`` run out) an
+    exact engine finishes the solve from scratch and its result is
+    returned as is: :func:`relayflow.simplex.solve_simplex` on the dense
+    path, :func:`scipy_linprog_solve` (HiGHS) on the sparse path, where
+    the simplex's dense arrays would be too large.  ``iterations`` then
+    counts the interior-point Newton steps plus the exact engine's own
+    iterations (simplex: 0; HiGHS: its ``nit``).  An LP without rows
+    goes straight to the simplex, whose bound flips solve it exactly.
 
     Problems with at most ``_DENSE_MAX_ENTRIES`` constraint-matrix
     entries are solved on dense arrays.  Larger ones keep the constraint
@@ -514,16 +497,22 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     that :func:`_disjoint_rows` picks, and factor only the dense Schur
     complement of the other rows; a cold ``team25x10`` solve (2 640 rows,
     1 215 of them eliminated) takes about 4 s instead of 13 s that way.
+    Spawn seed 1 of that size stalls on this path, and HiGHS finishes it
+    (40–48 s in all on a 2-core host).
 
-    Every solve, simplex endgame included, runs on one OpenBLAS thread.
+    Every solve, exact endgame included, runs on one OpenBLAS thread.
     That thread count is process-wide: it holds for every thread of the
     process while the solve runs and is restored to the caller's value
     afterwards, also when the solve raises.  The package runs no threads
     of its own; solves that overlap in a caller's threads share one pin.
     """
+    # simplex imports this module; calls go through the module attribute,
+    # so a wrapper installed on simplex.solve_simplex sees them
+    from . import simplex
+
     opts = opts if opts is not None else SolverOptions()
     if lp.num_ineq + lp.num_eq == 0:
-        return _solve_box_only(lp)
+        return simplex.solve_simplex(lp, opts)
     dense = lp.num_vars * (lp.num_ineq + lp.num_eq) <= _DENSE_MAX_ENTRIES
     with _ONE_BLAS_THREAD.scope():
         return _interior_point(lp, opts, dense)
@@ -538,7 +527,7 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
     n_free = int(np.count_nonzero(free))
 
     a_ub, a_eq = lp.a_ub, lp.a_eq
-    a_hat = sp.vstack([a_eq, a_ub], format="csr") if m_eq else a_ub
+    a_hat = sp.vstack([a_eq, a_ub], format="csr")
     a_hat_b = a_hat[:, bounded]
     a_hat_f = a_hat[:, free].toarray() if n_free else np.zeros((m_eq + m_in, 0))
 
@@ -577,7 +566,7 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
 
         r_d = f + a_ub_t @ w + a_eq_t @ y - zl + zu
         r_eq = a_eq @ z - b_eq
-        r_in = (a_ub @ z + s - b_ub) if m_in else np.zeros(0)
+        r_in = a_ub @ z + s - b_ub
 
         mu = (
             float(w @ s)
@@ -625,7 +614,7 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
         # normal matrix over the bounded block plus slack scaling
         d_diag = np.where(has_lo, zl / gl, 0.0) + np.where(has_hi, zu / gu, 0.0)
         dinv = 1.0 / d_diag[bounded]
-        e_diag = np.concatenate([np.zeros(m_eq), s / w]) if m_in else np.zeros(m_eq)
+        e_diag = np.concatenate([np.zeros(m_eq), s / w])
         if dense:
             m_solve = _dense_normal_solver(a_hat_b, dinv, e_diag)
         else:
@@ -650,7 +639,7 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
 
         def newton_core(e_d, e_eq, e_in, r_ws, r_l, r_u):
             q1 = -e_d - np.where(has_lo, r_l / gl, 0.0) + np.where(has_hi, r_u / gu, 0.0)
-            q_hat = np.concatenate([-e_eq, -e_in + r_ws / w]) if m_in else -e_eq
+            q_hat = np.concatenate([-e_eq, -e_in + r_ws / w])
             q1_b = q1[bounded]
             v = m_solve(a_hat_b @ (dinv * q1_b) - q_hat)
             dz = np.empty(n)
@@ -662,7 +651,7 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
             dz[bounded] = dinv * (q1_b - a_hat_b_t @ dy_hat)
             dy = dy_hat[:m_eq]
             dw = dy_hat[m_eq:]
-            ds = (-e_in - a_ub @ dz) if m_in else np.zeros(0)
+            ds = -e_in - a_ub @ dz
             dzl = np.where(has_lo, (-r_l - zl * dz) / gl, 0.0)
             dzu = np.where(has_hi, (-r_u + zu * dz) / gu, 0.0)
             return dz, ds, dw, dy, dzl, dzu
@@ -675,8 +664,8 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
             for _ in range(1 if mu > 1e-6 else 2):
                 e_d = r_d + (a_ub_t @ dw + a_eq_t @ dy - dzl + dzu)
                 e_eq = r_eq + a_eq @ dz
-                e_in = (r_in + a_ub @ dz + ds) if m_in else np.zeros(0)
-                e_ws = (r_ws + w * ds + s * dw) if m_in else np.zeros(0)
+                e_in = r_in + a_ub @ dz + ds
+                e_ws = r_ws + w * ds + s * dw
                 e_l = np.where(has_lo, r_l + zl * dz + gl * dzl, 0.0)
                 e_u = np.where(has_hi, r_u - zu * dz + gu * dzu, 0.0)
                 cz, cs, cw, cy, czl, czu = newton_core(e_d, e_eq, e_in, e_ws, e_l, e_u)
@@ -744,11 +733,11 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
         zu += a_d * dzu
         iters += 1
 
-    # stalled, collapsed step, failed factor or iteration cap: the exact
-    # simplex engine decides
-    from .simplex import solve_simplex
+    # stalled, collapsed step, failed factor or iteration cap: an exact
+    # engine decides, the dense simplex where its dense arrays are small
+    from . import simplex
 
-    result = solve_simplex(lp, opts)
+    result = (simplex.solve_simplex if dense else scipy_linprog_solve)(lp, opts)
     result.iterations += iters
     return result
 

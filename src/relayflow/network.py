@@ -50,9 +50,15 @@ class Scenario:
 
     def __post_init__(self) -> None:
         tasks = np.atleast_2d(np.asarray(self.task_positions, dtype=float))
-        relays = np.asarray(self.relay_positions, dtype=float).reshape(-1, 2)
+        relays = np.asarray(self.relay_positions, dtype=float)
         if tasks.shape[0] < 1 or tasks.shape[1] != 2:
             raise ValueError(f"need at least one task agent with 2-d positions, got {tasks.shape}")
+        # (R, 2), one relay as (2,), or none; reshape(-1, 2) would read a
+        # row of four numbers as two relays
+        if relays.size == 0 or relays.shape == (2,):
+            relays = relays.reshape(-1, 2)
+        elif relays.ndim != 2 or relays.shape[1] != 2:
+            raise ValueError(f"relay positions must have shape (R, 2), got {relays.shape}")
         if not (np.all(np.isfinite(tasks)) and np.all(np.isfinite(relays))):
             raise ValueError("agent positions must be finite")
         object.__setattr__(self, "task_positions", tasks)
@@ -83,10 +89,12 @@ class Scenario:
         return tuple(range(self.num_task, self.num_agents))
 
     def with_relay_positions(self, new_positions: np.ndarray) -> "Scenario":
-        new = np.asarray(new_positions, dtype=float).reshape(-1, 2)
-        if new.shape != self.relay_positions.shape:
-            raise ValueError(f"expected shape {self.relay_positions.shape}, got {new.shape}")
-        return replace(self, relay_positions=new)
+        moved = replace(self, relay_positions=new_positions)
+        if moved.relay_positions.shape != self.relay_positions.shape:
+            raise ValueError(
+                f"expected shape {self.relay_positions.shape}, got {moved.relay_positions.shape}"
+            )
+        return moved
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Bounded-variable revised simplex, the exact fallback LP engine.
+"""Bounded-variable revised simplex, the exact endgame of dense LP solves.
 
 The interior-point engine is the fast default, but on heavily
 degenerate problems its normal-equations endgame can level off around
-a relative accuracy of 1e-6.  This module finishes such solves with a
-classic two-phase primal simplex over the equality form
+a relative accuracy of 1e-6.  On the interior point's dense path (and
+for LPs without rows) this module finishes such solves with a classic
+two-phase primal simplex over the equality form
 
     minimize f'x   s.t.   M x = rhs,   lb <= x <= ub
 
@@ -11,8 +12,9 @@ obtained by appending one slack per inequality row.  Phase one drives
 artificial variables out of an identity basis; phase two optimizes the
 real objective.  Pricing is Dantzig by default and switches to Bland's
 rule after a run of degenerate pivots, which makes termination finite.
-The basis inverse is kept explicitly and refreshed periodically, which
-is comfortably fast at the dense scales this package works at.
+``M`` and the artificial columns are one dense array and the basis
+inverse is kept explicitly and refreshed periodically, which is fast at
+the dense path's scale; sparse-path stalls go to HiGHS instead.
 
 Basic solutions put every nonbasic variable exactly on a bound, so the
 complementarity of the returned duals is exact, something the
@@ -24,7 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lp import LpResult, SolverOptions, StandardFormLP, check_kkt
 
@@ -34,34 +35,34 @@ _DEGENERATE_RUN = 30
 
 
 def _build_equality_form(lp: StandardFormLP):
-    m_in, m_eq = lp.num_ineq, lp.num_eq
-    m_rows = m_in + m_eq
-    top = sp.hstack([lp.a_ub, sp.eye(m_in, format="csr")], format="csr")
-    if m_eq:
-        bottom = sp.hstack(
-            [lp.a_eq, sp.csr_matrix((m_eq, m_in))], format="csr"
-        )
-        mat = sp.vstack([top, bottom], format="csc")
-    else:
-        mat = top.tocsc()
+    """[A I; G 0] as one dense array with room for one artificial column
+    per row (zero until the start is known), plus rhs, bounds and the
+    minimization cost of the structural columns.
+
+    Fortran order keeps every column contiguous.  In C order the
+    products with the array round differently in the last bit, and a
+    degenerate ascent's trajectory follows them.
+    """
+    n, m_in = lp.num_vars, lp.num_ineq
+    m_rows = m_in + lp.num_eq
+    mat = np.zeros((m_rows, n + m_in + m_rows), order="F")
+    mat[:m_in, :n] = lp.a_ub.toarray()
+    mat[m_in:, :n] = lp.a_eq.toarray()
+    mat[:m_in, n : n + m_in] = np.eye(m_in)
     rhs = np.concatenate([lp.b_ub, lp.b_eq])
     lb = np.concatenate([lp.lo, np.zeros(m_in)])
     ub = np.concatenate([lp.hi, np.full(m_in, np.inf)])
     cost = np.concatenate([-lp.c, np.zeros(m_in)])  # minimize
-    return mat, rhs, lb, ub, cost, m_rows
+    return mat, rhs, lb, ub, cost
 
 
 def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
     """Solve the LP exactly with a two-phase bounded-variable simplex
     (``opts`` is accepted for the engine signature and not read)."""
     n, m_in = lp.num_vars, lp.num_ineq
-    mat, rhs, lb, ub, cost, m_rows = _build_equality_form(lp)
-    n_struct = mat.shape[1]
-
-    if m_rows == 0:
-        from .lp import _solve_box_only
-
-        return _solve_box_only(lp)
+    mat, rhs, lb, ub, cost = _build_equality_form(lp)
+    n_struct = lb.shape[0]
+    m_rows = rhs.shape[0]
 
     rc_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost), initial=0.0)))
 
@@ -73,38 +74,24 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
     status = np.full(n_struct + m_rows, _BASIC, dtype=np.int8)
     status[:n_struct] = np.where(has_lb, _AT_LO, np.where(has_ub, _AT_HI, _FREE0))
 
-    resid = rhs - mat @ x[:n_struct]
+    resid = rhs - mat[:, :n_struct] @ x[:n_struct]
     art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-    art_cols = sp.diags(art_sign).tocsc()
-    full_mat = sp.hstack([mat, art_cols], format="csc")
+    np.fill_diagonal(mat[:, n_struct:], art_sign)
     lb_full = np.concatenate([lb, np.zeros(m_rows)])
     ub_full = np.concatenate([ub, np.full(m_rows, np.inf)])
     x[n_struct:] = np.abs(resid)
 
     basis = np.arange(n_struct, n_struct + m_rows)
-    n_tot = n_struct + m_rows
 
     phase1_cost = np.concatenate([np.zeros(n_struct), np.ones(m_rows)])
     phase2_cost = np.concatenate([cost, np.zeros(m_rows)])
-
-    dense_cols = full_mat.toarray() if n_tot * m_rows <= 5_000_000 else None
-
-    def col(j: int) -> np.ndarray:
-        if dense_cols is not None:
-            return dense_cols[:, j]
-        return full_mat[:, j].toarray().ravel()
 
     b_inv = np.eye(m_rows) * (1.0 / art_sign)[:, None]  # inverse of the artificial basis
 
     def refresh_inverse() -> bool:
         nonlocal b_inv
-        basis_mat = (
-            dense_cols[:, basis]
-            if dense_cols is not None
-            else full_mat[:, basis].toarray()
-        )
         try:
-            b_inv = np.linalg.inv(basis_mat)
+            b_inv = np.linalg.inv(mat[:, basis])
             return True
         except np.linalg.LinAlgError:
             return False
@@ -117,8 +104,7 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
                 if not refresh_inverse():
                     return "numerical"
             lam = fc[basis] @ b_inv
-            rc = fc - lam @ (dense_cols if dense_cols is not None else full_mat)
-            rc = np.asarray(rc).ravel()
+            rc = fc - lam @ mat
 
             eligible_lo = (status == _AT_LO) & (rc < -rc_tol) & (ub_full > lb_full)
             eligible_hi = (status == _AT_HI) & (rc > rc_tol)
@@ -134,7 +120,7 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
                 enter = int(np.argmax(score))
             sigma = 1.0 if (status[enter] == _AT_LO or (status[enter] == _FREE0 and rc[enter] < 0)) else -1.0
 
-            d = b_inv @ col(enter)
+            d = b_inv @ mat[:, enter]
             # max step before a basic variable or the entering bound blocks
             theta = ub_full[enter] - lb_full[enter] if status[enter] != _FREE0 else np.inf
             # a falling basic variable blocks at its lower bound, a rising
@@ -198,11 +184,9 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
     if not refresh_inverse():
         return _failure(lp, "numerical", "final basis is singular")
     x_nonbasic = np.where(status == _BASIC, 0.0, x)
-    nb_contrib = (dense_cols if dense_cols is not None else full_mat) @ x_nonbasic
-    x[basis] = b_inv @ (rhs - nb_contrib)
+    x[basis] = b_inv @ (rhs - mat @ x_nonbasic)
     lam = phase2_cost[basis] @ b_inv
-    rc = phase2_cost - lam @ (dense_cols if dense_cols is not None else full_mat)
-    rc = np.asarray(rc).ravel()
+    rc = phase2_cost - lam @ mat
 
     z = x[:n]
     y_ineq = np.maximum(-lam[:m_in], 0.0)

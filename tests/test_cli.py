@@ -90,6 +90,23 @@ def test_malformed_file_is_input_error(tmp_path, capsys, command):
     assert "input error: cannot read scenario" in capsys.readouterr().err
 
 
+def test_relay_row_of_four_numbers_is_input_error(tmp_path, pair_file, capsys):
+    doc = json.loads(pair_file.read_text())
+    doc["relay_agents"] = [[0.2, 0.1, 0.5, 0.3]]
+    bad = tmp_path / "four.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    assert "relay positions must have shape (R, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gap_tol", ["nan", "inf", "0", "-1e-8"])
+def test_solve_rejects_a_gap_tolerance_that_is_not_positive(tmp_path, pair_file, capsys, gap_tol):
+    rc = main(["solve", "--scenario", str(pair_file), f"--gap-tol={gap_tol}", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
 def test_ascend_quick_exit_with_huge_tolerance(tmp_path, pair_file):
     out = tmp_path / "asc"
     rc = main(["ascend", "--scenario", str(pair_file), "--tol", "10", "--out", str(out)])

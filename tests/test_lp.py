@@ -42,6 +42,14 @@ def random_feasible_lp(rng):
     return StandardFormLP(c=rng.normal(size=n), a_ub=a, b_ub=b, a_eq=g, b_eq=h, lo=lo, hi=hi)
 
 
+def equality_only_lp():
+    """No inequality rows; optimum z = (0.25, 0.75, 0) with unique duals
+    y_eq = (1.5, -0.5) and z_lower = (0, 0, 1.5)."""
+    return StandardFormLP(
+        c=[1.0, 2.0, 0.0], a_eq=[[1, 1, 1], [1, -1, 0]], b_eq=[1.0, -0.5], lo=np.zeros(3)
+    )
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_single_variable_lp(engine):
     lp = StandardFormLP(c=[1.0], a_ub=[[1.0]], b_ub=[3.0], lo=[0.0], hi=[np.inf])
@@ -63,6 +71,18 @@ def test_degenerate_box_lp_accepted_by_kkt(engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+def test_equality_only_lp(engine):
+    lp = equality_only_lp()
+    res = engine(lp, SolverOptions())
+    assert res.optimal
+    assert res.y_ineq.shape == (0,)
+    np.testing.assert_allclose(res.x, [0.25, 0.75, 0.0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(res.y_eq, [1.5, -0.5], rtol=0, atol=1e-7)
+    np.testing.assert_allclose(res.z_lower, [0.0, 0.0, 1.5], rtol=0, atol=1e-7)
+    assert check_kkt(lp, res).passed(1e-6)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_infeasible_lp_gets_typed_status(engine):
     lp = StandardFormLP(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0], lo=[0.0], hi=[np.inf])
     assert engine(lp, SolverOptions()).status == "infeasible"
@@ -80,7 +100,10 @@ def test_box_only_lp():
     lp = StandardFormLP(c=[2.0, -1.0], lo=[0.0, 0.0], hi=[1.5, np.inf])
     res = solve(lp)
     assert res.optimal
+    assert res.message == "simplex"  # rowless LPs go straight to the simplex
     np.testing.assert_allclose(res.x, [1.5, 0.0])
+    np.testing.assert_array_equal(res.z_lower, [0.0, 1.0])
+    np.testing.assert_array_equal(res.z_upper, [2.0, 0.0])
     assert solve(StandardFormLP(c=[1.0], lo=[0.0], hi=[np.inf])).status == "unbounded"
 
 
@@ -429,6 +452,42 @@ def test_sparse_path_solves_free_variables_with_equalities(monkeypatch):
     assert sparse.objective == pytest.approx(1.0, abs=1e-8)
     assert check_kkt(lp, sparse).passed(1e-6)
     assert_same_solution(dense, sparse)
+
+
+def test_sparse_path_solves_equality_only_lps(monkeypatch):
+    lp = equality_only_lp()
+    dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+    assert check_kkt(lp, sparse).passed(1e-6)
+    assert_same_solution(dense, sparse)
+
+
+def test_sparse_path_stall_finishes_in_highs(monkeypatch):
+    # the simplex's dense arrays are for dense-path problems; a sparse-path
+    # solve that stops short is finished by HiGHS
+    monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
+    monkeypatch.setattr(lp_module, "_MAX_ITERS", 1)
+    simplex_calls = []
+
+    def spying_simplex(lp, opts=None):
+        simplex_calls.append(lp)
+        return solve_simplex(lp, opts)
+
+    highs_nits = []
+
+    def spying_highs(lp, opts=None):
+        result = scipy_linprog_solve(lp, opts)
+        highs_nits.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(simplex_module, "solve_simplex", spying_simplex)
+    monkeypatch.setattr(lp_module, "scipy_linprog_solve", spying_highs)
+    lp = boxed_lp(np.random.default_rng(3), 8, 5)
+    res = solve_interior_point(lp)
+    assert simplex_calls == []
+    assert len(highs_nits) == 1
+    assert res.optimal
+    assert check_kkt(lp, res).passed(1e-6)
+    assert res.iterations == 1 + highs_nits[0]
 
 
 def test_sparse_path_handles_empty_rows(monkeypatch):

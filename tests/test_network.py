@@ -14,7 +14,12 @@ from relayflow import (
     spawn_scenario,
     weight_preset,
 )
-from relayflow.network import ScenarioFormatError, validate_weights
+from relayflow.network import (
+    ScenarioFormatError,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_weights,
+)
 
 
 def test_default_commodities_two_agents():
@@ -142,6 +147,20 @@ def test_scenario_validation(model):
         ScenarioConfig(num_task=3, num_relay=1, density=0.0)
 
 
+def test_scenario_from_dict_reads_relay_positions_only_in_pairs(model):
+    scenario = Scenario(
+        np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.5, 0.5]]), model, default_commodities(2)
+    )
+    doc = scenario_to_dict(scenario, [1.0, 1.0])
+    for relays, count in (([[0.2, 0.1], [0.5, 0.3]], 2), ([0.2, 0.1], 1), ([], 0)):
+        doc["relay_agents"] = relays
+        assert scenario_from_dict(doc)[0].num_relay == count
+    for relays in ([[0.2, 0.1, 0.5, 0.3]], [0.2, 0.1, 0.5, 0.3], [[[0.2, 0.1]]]):
+        doc["relay_agents"] = relays
+        with pytest.raises(ValueError, match="relay positions"):
+            scenario_from_dict(doc)
+
+
 def test_with_relay_positions_keeps_tasks(model):
     scenario = spawn_scenario(ScenarioConfig(num_task=3, num_relay=2, rng_seed=2), model)
     moved = scenario.with_relay_positions(scenario.relay_positions + 0.5)
@@ -149,3 +168,5 @@ def test_with_relay_positions_keeps_tasks(model):
     np.testing.assert_allclose(moved.relay_positions, scenario.relay_positions + 0.5)
     with pytest.raises(ValueError):
         scenario.with_relay_positions(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="relay positions"):
+        scenario.with_relay_positions(np.array([[0.2, 0.1, 0.5, 0.3]]))
