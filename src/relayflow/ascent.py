@@ -53,12 +53,12 @@ class AscentConfig:
     backtracking: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        for name in ("alpha0", "tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 0 < self.decay <= 1:
             raise ValueError("decay must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

@@ -63,6 +63,9 @@ _LAYOUTS = {
     ),
 }
 _SPAWNED_PRESETS = {"team5x4": (5, 4), "team25x10": (25, 10)}
+# gradcheck skips a configuration as degenerate when a 1e-7 km nudge of the
+# relays moves a shadow price by more than this share of the largest one
+_STABLE_MU_RTOL = 1e-3
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outputs, timings):
@@ -290,7 +293,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _stable_solution(scenario, weights, rel_tol=1e-3):
+def _stable_solution(scenario, weights):
     """Solve at ``scenario``; None if nudging the relays moves the shadow prices."""
     base = solve_mcfp(build_instance(scenario, weights))
     rng = np.random.default_rng(0)
@@ -299,7 +302,7 @@ def _stable_solution(scenario, weights, rel_tol=1e-3):
     )
     other = solve_mcfp(build_instance(nudged, weights))
     scale = 1.0 + float(np.max(np.abs(base.mu)))
-    return base if float(np.max(np.abs(base.mu - other.mu))) <= rel_tol * scale else None
+    return base if float(np.max(np.abs(base.mu - other.mu))) <= _STABLE_MU_RTOL * scale else None
 
 
 def cmd_gradcheck(args) -> int:

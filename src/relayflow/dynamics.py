@@ -45,6 +45,10 @@ class MotionConfig:
     pinned_tasks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("dt", "accel_std", "v_max", "box_size", "duration"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.v_max < 0:

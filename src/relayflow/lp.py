@@ -11,26 +11,27 @@ prices, so the solver keeps iterating well past the requested gap when
 it can, and every result can be re-checked with :func:`check_kkt`.
 
 The default engine is an infeasible-start predictor-corrector
-interior-point method on the reduced normal equations, with free
-variables eliminated exactly through a small Schur complement (no
-primal regularization is needed for them).  Small problems factor the
-normal matrix densely.  Larger ones keep it sparse and first eliminate,
-exactly, a set of rows with disjoint column supports, whose block of the
-normal matrix is diagonal (the capacity rows of a flow LP, where every
-flow column sits in one capacity row); only the Schur complement of the
-remaining rows is factored densely.  Every solve runs on one OpenBLAS
-thread.  Interior-point iterates
-converge to the analytic center of the optimal face, so when the dual
-optimum is not unique the reported duals are the centered ones, which
-is what a subgradient-style consumer wants.  A solve ends in one of
-three ways: the interior point converges, it detects a diverging
-objective (infeasible or unbounded), or it hands the problem to an
-exact engine, whose result it returns: the dense two-phase simplex in
-:mod:`relayflow.simplex` on the dense path, HiGHS on the sparse one.
-The hand-off happens when progress stalls short of the target, as it
-can on degenerate problems, and also when a step collapses, a
-factorization fails or the iteration cap is reached.  LPs without
-rows go straight to the simplex.
+interior-point method on the reduced normal equations.  Small problems
+factor the normal matrix densely.  Larger ones keep it sparse and first
+eliminate, exactly, a set of rows with disjoint column supports, whose
+block of the normal matrix is diagonal (the capacity rows of a flow LP,
+where every flow column sits in one capacity row); only the Schur
+complement of the remaining rows is factored densely.  Every solve runs
+on one OpenBLAS thread.  Interior-point iterates converge to the
+analytic center of the optimal face, so when the dual optimum is not
+unique the reported duals are the centered ones, which is what a
+subgradient-style consumer wants.
+
+The interior point takes only LPs with at least one row and a finite
+bound on every column, as every flow LP is.  Each other LP goes
+straight to an exact engine: the dense two-phase simplex in
+:mod:`relayflow.simplex` when the problem is small enough for the dense
+path, HiGHS otherwise.  The interior point itself has two exits: it
+converges, or it hands the problem to that same exact engine and
+returns its result, which also classifies infeasible and unbounded
+LPs.  The hand-off happens when progress stalls short of the target, as
+it can on degenerate problems, and also when a step collapses, a
+factorization fails or the iteration cap is reached.
 
 Any callable with the signature ``engine(lp, options) -> LpResult`` can
 be plugged in through ``SolverOptions.engine``; an adapter around
@@ -52,7 +53,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-_HUGE = 1e12
 # interior-point iteration cap; a solve that reaches it goes to an exact engine
 _MAX_ITERS = 200
 # constraint-matrix entries (variables x rows) up to which the interior
@@ -141,7 +141,8 @@ class SolverOptions:
 @dataclass
 class LpResult:
     # optimal | infeasible | unbounded | numerical, or iteration_limit from
-    # the HiGHS adapter
+    # HiGHS; the interior point itself returns only optimal, every other
+    # status is the verdict of the exact engine it hands off to
     status: str
     x: np.ndarray
     objective: float
@@ -365,7 +366,7 @@ def _cho_factor_jittered(mat: np.ndarray):
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with a factor from :func:`_cho_factor_jittered`; ``rhs`` is
-    1-D or 2-D and is left unchanged."""
+    left unchanged."""
     if rhs.shape[0] == 0:  # potrs rejects an empty system
         return rhs.copy()
     sol, info = _potrs(factor, rhs, lower=1, overwrite_b=0)
@@ -374,10 +375,10 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _dense_normal_solver(a_hat_b: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray):
+def _dense_normal_solver(a_hat: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray):
     """Solve with M = A D^-1 A' + E from a dense Cholesky factor of M, with
     one round of iterative refinement; None if M cannot be factored."""
-    m_mat = (a_hat_b * dinv[None, :]) @ a_hat_b.T
+    m_mat = (a_hat * dinv[None, :]) @ a_hat.T
     m_mat.flat[:: m_mat.shape[0] + 1] += e_diag
     factor = _cho_factor_jittered(m_mat)
     if factor is None:
@@ -414,7 +415,7 @@ def _disjoint_rows(a: sp.csr_matrix) -> np.ndarray:
 
 
 def _block_normal_solver(
-    a_hat_b: sp.csr_matrix, rows1: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray
+    a_hat: sp.csr_matrix, rows1: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray
 ):
     """Solve with the sparse M = A D^-1 A' + E by eliminating the rows
     ``rows1`` from :func:`_disjoint_rows`, with one round of iterative
@@ -424,7 +425,7 @@ def _block_normal_solver(
     factor is the dense Schur complement S = M22 - M21 M11^-1 M12 of the
     other rows R2: 1 425 of 2 640 rows on ``team25x10``.
     """
-    m_mat = (a_hat_b.multiply(dinv[None, :]) @ a_hat_b.T + sp.diags(e_diag)).tocsr()
+    m_mat = (a_hat.multiply(dinv[None, :]) @ a_hat.T + sp.diags(e_diag)).tocsr()
     rows2 = np.setdiff1d(np.arange(m_mat.shape[0]), rows1)
     d1 = m_mat.diagonal()[rows1]
     m_rows2 = m_mat[rows2]
@@ -439,11 +440,10 @@ def _block_normal_solver(
         return None
 
     def block_solve(rhs: np.ndarray) -> np.ndarray:
-        d = d1 if rhs.ndim == 1 else d1[:, None]
         r1 = rhs[rows1]
         x = np.empty_like(rhs)
-        x[rows2] = x2 = _cho_solve(factor, rhs[rows2] - m21 @ (r1 / d))
-        x[rows1] = (r1 - m12 @ x2) / d
+        x[rows2] = x2 = _cho_solve(factor, rhs[rows2] - m21 @ (r1 / d1))
+        x[rows1] = (r1 - m12 @ x2) / d1
         return x
 
     def m_solve(rhs: np.ndarray) -> np.ndarray:
@@ -454,23 +454,8 @@ def _block_normal_solver(
     return m_solve
 
 
-def _result_from_iterate(lp, status, z, w, y, zl, zu, gap, iters, message=""):
-    return LpResult(
-        status=status,
-        x=z.copy(),
-        objective=float(lp.c @ z),
-        y_ineq=w.copy(),
-        y_eq=y.copy(),
-        z_lower=zl.copy(),
-        z_upper=zu.copy(),
-        gap=float(gap),
-        iterations=iters,
-        message=message,
-    )
-
-
 def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
-    """Mehrotra predictor-corrector interior-point method with a simplex endgame.
+    """Mehrotra predictor-corrector interior-point method with an exact endgame.
 
     Works on the minimization form internally; the duals it returns are
     already in the maximization convention of :class:`StandardFormLP`
@@ -478,18 +463,22 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     magnitude below ``SolverOptions.tol`` in relative duality gap and
     in primal and dual infeasibility.
 
-    The result is ``optimal`` ("converged") when the target is met, and
-    ``infeasible`` or ``unbounded`` when the dual or primal objective
-    diverges.  Otherwise (degenerate problems can make progress level
-    off near a relative accuracy of 1e-6 in double precision; a step can
-    also collapse, a factorization fail, or ``_MAX_ITERS`` run out) an
-    exact engine finishes the solve from scratch and its result is
-    returned as is: :func:`relayflow.simplex.solve_simplex` on the dense
-    path, :func:`scipy_linprog_solve` (HiGHS) on the sparse path, where
-    the simplex's dense arrays would be too large.  ``iterations`` then
-    counts the interior-point Newton steps plus the exact engine's own
-    iterations (simplex: 0; HiGHS: its ``nit``).  An LP without rows
-    goes straight to the simplex, whose bound flips solve it exactly.
+    The exact engine is :func:`relayflow.simplex.solve_simplex` on the
+    dense path and :func:`scipy_linprog_solve` (HiGHS) on the sparse
+    path, where the simplex's dense arrays would be too large.  It
+    solves, from the start, every LP without rows and every LP with a
+    free column (infinite on both sides): the interior point takes only
+    LPs with rows and a finite bound on every column, as every flow LP
+    is.  The interior point then has two exits.  It returns ``optimal``
+    ("converged") when the target is met.  Otherwise (degenerate
+    problems can make progress level off near a relative accuracy of
+    1e-6 in double precision; a step can also collapse, a factorization
+    fail, or ``_MAX_ITERS`` run out, as on an infeasible or unbounded
+    LP) the exact engine finishes the solve from scratch and its result
+    is returned as is, ``infeasible`` and ``unbounded`` verdicts
+    included.  ``iterations`` then counts the interior-point Newton steps
+    plus the exact engine's own iterations (simplex: 0; HiGHS: its
+    ``nit``).
 
     Problems with at most ``_DENSE_MAX_ENTRIES`` constraint-matrix
     entries are solved on dense arrays.  Larger ones keep the constraint
@@ -500,47 +489,44 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     Spawn seed 1 of that size stalls on this path, and HiGHS finishes it
     (40–48 s in all on a 2-core host).
 
-    Every solve, exact endgame included, runs on one OpenBLAS thread.
+    Every solve, exact engine included, runs on one OpenBLAS thread.
     That thread count is process-wide: it holds for every thread of the
     process while the solve runs and is restored to the caller's value
     afterwards, also when the solve raises.  The package runs no threads
     of its own; solves that overlap in a caller's threads share one pin.
     """
-    # simplex imports this module; calls go through the module attribute,
-    # so a wrapper installed on simplex.solve_simplex sees them
+    # simplex imports this module; the engine is looked up through the
+    # module attribute, so a wrapper installed on simplex.solve_simplex sees it
     from . import simplex
 
     opts = opts if opts is not None else SolverOptions()
-    if lp.num_ineq + lp.num_eq == 0:
-        return simplex.solve_simplex(lp, opts)
     dense = lp.num_vars * (lp.num_ineq + lp.num_eq) <= _DENSE_MAX_ENTRIES
+    exact = simplex.solve_simplex if dense else scipy_linprog_solve
+    free = ~(np.isfinite(lp.lo) | np.isfinite(lp.hi))
     with _ONE_BLAS_THREAD.scope():
-        return _interior_point(lp, opts, dense)
+        if lp.num_ineq + lp.num_eq == 0 or free.any():
+            return exact(lp, opts)
+        return _interior_point(lp, opts, dense, exact)
 
 
-def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpResult:
-    n, m_in, m_eq = lp.num_vars, lp.num_ineq, lp.num_eq
+def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool, exact: Callable) -> LpResult:
+    m_in, m_eq = lp.num_ineq, lp.num_eq
     has_lo = np.isfinite(lp.lo)
     has_hi = np.isfinite(lp.hi)
-    bounded = has_lo | has_hi
-    free = ~bounded
-    n_free = int(np.count_nonzero(free))
 
     a_ub, a_eq = lp.a_ub, lp.a_eq
     a_hat = sp.vstack([a_eq, a_ub], format="csr")
-    a_hat_b = a_hat[:, bounded]
-    a_hat_f = a_hat[:, free].toarray() if n_free else np.zeros((m_eq + m_in, 0))
 
     # sparse per-call overhead dwarfs the arithmetic on small problems
     if dense:
         a_ub = a_ub.toarray()
         a_eq = a_eq.toarray()
-        a_hat_b = a_hat_b.toarray()
+        a_hat = a_hat.toarray()
     else:
-        rows1 = _disjoint_rows(a_hat_b)
+        rows1 = _disjoint_rows(a_hat)
     a_ub_t = a_ub.T
     a_eq_t = a_eq.T
-    a_hat_b_t = a_hat_b.T
+    a_hat_t = a_hat.T
 
     f = -lp.c
     b_ub = lp.b_ub
@@ -595,60 +581,37 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
             stall_count += 1
 
         if rel_gap <= target and rel_pinf <= target and rel_dinf <= target:
-            return _result_from_iterate(lp, "optimal", z, w, y, zl, zu, rel_gap, iters, "converged")
+            return LpResult(
+                status="optimal",
+                x=z.copy(),
+                objective=float(lp.c @ z),
+                y_ineq=w.copy(),
+                y_eq=y.copy(),
+                z_lower=zl.copy(),
+                z_upper=zu.copy(),
+                gap=rel_gap,
+                iterations=iters,
+                message="converged",
+            )
 
         if stall_count >= 12:
             break  # numerically stuck
 
-        if d_obj > _HUGE * scale_obj and rel_dinf <= 1e-4:
-            return _result_from_iterate(
-                lp, "infeasible", z, w, y, zl, zu, rel_gap, iters,
-                "dual objective diverging: primal infeasible",
-            )
-        if p_obj < -_HUGE * scale_obj and rel_pinf <= 1e-4:
-            return _result_from_iterate(
-                lp, "unbounded", z, w, y, zl, zu, rel_gap, iters,
-                "primal objective diverging: problem unbounded",
-            )
-
-        # normal matrix over the bounded block plus slack scaling
-        d_diag = np.where(has_lo, zl / gl, 0.0) + np.where(has_hi, zu / gu, 0.0)
-        dinv = 1.0 / d_diag[bounded]
+        # normal matrix plus slack scaling
+        dinv = 1.0 / (np.where(has_lo, zl / gl, 0.0) + np.where(has_hi, zu / gu, 0.0))
         e_diag = np.concatenate([np.zeros(m_eq), s / w])
         if dense:
-            m_solve = _dense_normal_solver(a_hat_b, dinv, e_diag)
+            m_solve = _dense_normal_solver(a_hat, dinv, e_diag)
         else:
-            m_solve = _block_normal_solver(a_hat_b, rows1, dinv, e_diag)
+            m_solve = _block_normal_solver(a_hat, rows1, dinv, e_diag)
         if m_solve is None:
             break
-
-        if n_free:
-            u_mat = m_solve(a_hat_f)
-            schur = a_hat_f.T @ u_mat
-        else:
-            u_mat = None
-            schur = None
-
-        def solve_free_block(rhs: np.ndarray) -> np.ndarray:
-            # singular when a free variable is not pinned by any row;
-            # minimum-norm step lets the divergence checks classify it
-            try:
-                return np.linalg.solve(schur, rhs)
-            except np.linalg.LinAlgError:
-                return np.linalg.lstsq(schur, rhs, rcond=None)[0]
 
         def newton_core(e_d, e_eq, e_in, r_ws, r_l, r_u):
             q1 = -e_d - np.where(has_lo, r_l / gl, 0.0) + np.where(has_hi, r_u / gu, 0.0)
             q_hat = np.concatenate([-e_eq, -e_in + r_ws / w])
-            q1_b = q1[bounded]
-            v = m_solve(a_hat_b @ (dinv * q1_b) - q_hat)
-            dz = np.empty(n)
-            if n_free:
-                dz[free] = dz_f = solve_free_block(q1[free] - a_hat_f.T @ v)
-                dy_hat = v + u_mat @ dz_f
-            else:
-                dy_hat = v
-            dz[bounded] = dinv * (q1_b - a_hat_b_t @ dy_hat)
+            dy_hat = m_solve(a_hat @ (dinv * q1) - q_hat)
+            dz = dinv * (q1 - a_hat_t @ dy_hat)
             dy = dy_hat[:m_eq]
             dw = dy_hat[m_eq:]
             ds = -e_in - a_ub @ dz
@@ -733,11 +696,9 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool) -> LpR
         zu += a_d * dzu
         iters += 1
 
-    # stalled, collapsed step, failed factor or iteration cap: an exact
-    # engine decides, the dense simplex where its dense arrays are small
-    from . import simplex
-
-    result = (simplex.solve_simplex if dense else scipy_linprog_solve)(lp, opts)
+    # stalled, collapsed step, failed factor or iteration cap: the exact
+    # engine decides
+    result = exact(lp, opts)
     result.iterations += iters
     return result
 

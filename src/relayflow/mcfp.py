@@ -38,6 +38,10 @@ from .network import CommoditySpec, Scenario, validate_weights
 _EPIGRAPH_FLOOR = -1e3
 # flows and injections at or below this are left out of flow_solution_to_dict
 _DROP_TOL = 1e-9
+# verify_solution's pass tolerance, and the spare capacity from which a
+# capacity row counts as slack and must carry no price
+_VERIFY_TOL = 1e-6
+_SLACK_THRESHOLD = 1e-3
 
 
 @dataclass
@@ -335,12 +339,7 @@ class VerificationReport:
         )
 
 
-def verify_solution(
-    inst: McfpInstance,
-    sol: FlowSolution,
-    tol: float = 1e-6,
-    slack_threshold: float = 1e-3,
-) -> VerificationReport:
+def verify_solution(inst: McfpInstance, sol: FlowSolution) -> VerificationReport:
     """Recompute feasibility, optimality and shadow-price hygiene residuals.
 
     Primal feasibility is evaluated directly on the solution arrays
@@ -372,7 +371,7 @@ def verify_solution(
         float(np.max(-sol.lam, initial=0.0)),
     )
     comp = float(np.max(np.abs(sol.mu * slack), initial=0.0))
-    is_slack = off_diag & (slack >= slack_threshold)
+    is_slack = off_diag & (slack >= _SLACK_THRESHOLD)
     slack_mu = float(np.max(sol.mu[is_slack], initial=0.0))
 
     if sol.lp is not None and sol.lp_result is not None:
@@ -388,8 +387,8 @@ def verify_solution(
         complementarity=comp,
         gap=gap,
         slack_mu_max=slack_mu,
-        tol=tol,
-        slack_threshold=slack_threshold,
+        tol=_VERIFY_TOL,
+        slack_threshold=_SLACK_THRESHOLD,
     )
 
 

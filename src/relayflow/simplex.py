@@ -2,9 +2,10 @@
 
 The interior-point engine is the fast default, but on heavily
 degenerate problems its normal-equations endgame can level off around
-a relative accuracy of 1e-6.  On the interior point's dense path (and
-for LPs without rows) this module finishes such solves with a classic
-two-phase primal simplex over the equality form
+a relative accuracy of 1e-6.  On the interior point's dense path this
+module finishes such solves, and solves LPs without rows or with a free
+column from the start, with a classic two-phase primal simplex over the
+equality form
 
     minimize f'x   s.t.   M x = rhs,   lb <= x <= ub
 

@@ -151,8 +151,8 @@ def test_criterion_4_duality_hygiene(model):
             )
             for kind in ["adhoc", "ap:0", f"subset:0,{num_task - 1}"]:
                 inst = build_instance(scenario, weight_preset(kind, num_task))
-                report = verify_solution(inst, solve_mcfp(inst), tol=1e-6)
-                assert report.passed, (seed, num_task, kind, report)
+                report = verify_solution(inst, solve_mcfp(inst))
+                assert report.passed and report.tol == 1e-6, (seed, num_task, kind, report)
                 assert report.gap <= 1e-6
                 assert report.slack_mu_max <= 1e-6
                 checked += 1

@@ -107,6 +107,17 @@ def test_solve_rejects_a_gap_tolerance_that_is_not_positive(tmp_path, pair_file,
     assert "tol must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--tol", "nan"), ("--tol", "inf"), ("--alpha", "nan"), ("--alpha", "inf")]
+)
+def test_ascend_rejects_a_step_or_tolerance_that_is_not_finite(tmp_path, pair_file, capsys, option, value):
+    out = tmp_path / "o"
+    rc = main(["ascend", "--scenario", str(pair_file), f"{option}={value}", "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_ascend_quick_exit_with_huge_tolerance(tmp_path, pair_file):
     out = tmp_path / "asc"
     rc = main(["ascend", "--scenario", str(pair_file), "--tol", "10", "--out", str(out)])
@@ -153,6 +164,22 @@ def test_simulate_rejects_negative_pin_task(tmp_path):
         "--pin-task", "-1", "--no-pre-optimize", "--out", str(tmp_path / "sim"),
     ])
     assert rc == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--vmax", "nan"), ("--box", "nan"), ("--duration", "inf"), ("--dt", "nan"), ("--accel-std", "inf")],
+)
+def test_simulate_rejects_motion_values_that_are_not_finite(tmp_path, pair_file, capsys, option, value):
+    out = tmp_path / "sim"
+    # the last --duration given wins, so a short run unless the test sets it
+    rc = main([
+        "simulate", "--scenario", str(pair_file), "--duration", "0.4", f"{option}={value}",
+        "--no-pre-optimize", "--out", str(out),
+    ])
+    assert rc == EXIT_INPUT
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "timeline.csv").exists()
 
 
 def test_bench_csv_format(tmp_path):

@@ -28,7 +28,8 @@ from relayflow.simplex import solve_simplex
 ENGINES = [solve_interior_point, solve_simplex, scipy_linprog_solve]
 
 
-def random_feasible_lp(rng):
+def random_feasible_lp(rng, low=-np.inf):
+    """A feasible LP; a fifth of its lower bounds are ``low``, the rest 0."""
     n = int(rng.integers(2, 12))
     m_in = int(rng.integers(1, 10))
     m_eq = int(rng.integers(0, min(n - 1, 4)))
@@ -37,7 +38,7 @@ def random_feasible_lp(rng):
     b = a @ z0 + rng.uniform(0.1, 1.0, m_in)
     g = rng.normal(size=(m_eq, n)) if m_eq else None
     h = (g @ z0) if m_eq else None
-    lo = np.where(rng.random(n) < 0.8, 0.0, -np.inf)
+    lo = np.where(rng.random(n) < 0.8, 0.0, low)
     hi = np.where(rng.random(n) < 0.5, rng.uniform(1.5, 4, n), np.inf)
     return StandardFormLP(c=rng.normal(size=n), a_ub=a, b_ub=b, a_eq=g, b_eq=h, lo=lo, hi=hi)
 
@@ -107,8 +108,23 @@ def test_box_only_lp():
     assert solve(StandardFormLP(c=[1.0], lo=[0.0], hi=[np.inf])).status == "unbounded"
 
 
-def test_free_variable_with_equalities():
-    lp = StandardFormLP(
+@pytest.fixture()
+def potrf_calls(monkeypatch):
+    """Every Cholesky factorization the interior point attempts."""
+    calls = []
+    real_potrf = lp_module._potrf
+
+    def counting_potrf(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_potrf(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "_potrf", counting_potrf)
+    return calls
+
+
+def free_variable_lp():
+    """z0 is free; the optimum z = (1, 1, 0) has unique duals."""
+    return StandardFormLP(
         c=[1, 0, 0],
         a_ub=[[1, -1, 0]],
         b_ub=[0.0],
@@ -117,8 +133,15 @@ def test_free_variable_with_equalities():
         lo=[-np.inf, 0, 0],
         hi=[np.inf, np.inf, np.inf],
     )
+
+
+def test_free_variable_with_equalities(potrf_calls):
+    lp = free_variable_lp()
     res = solve(lp)
     assert res.optimal
+    # a free column sends the LP straight to the simplex
+    assert res.message == "simplex" and res.iterations == 0
+    assert potrf_calls == []
     assert res.objective == pytest.approx(1.0, abs=1e-8)
     assert check_kkt(lp, res).passed(1e-6)
 
@@ -139,20 +162,32 @@ def test_check_kkt_reports_gap_for_suboptimal_point():
     assert report.complementarity > 0.1
 
 
+def solve_and_check_against_highs(lp):
+    mine = solve(lp)
+    ref = scipy_linprog_solve(lp)
+    if ref.status != "optimal":
+        assert mine.status != "optimal"
+        return mine
+    assert mine.optimal
+    assert check_kkt(lp, mine).passed(1e-6)
+    assert mine.objective == pytest.approx(ref.objective, abs=1e-6 * (1 + abs(ref.objective)))
+    # weak duality: dual objective must not undercut the primal
+    assert dual_objective(lp, mine) >= mine.objective - 1e-6 * (1 + abs(mine.objective))
+    return mine
+
+
 def test_weak_duality_and_scipy_agreement():
     rng = np.random.default_rng(7)
     for _ in range(30):
-        lp = random_feasible_lp(rng)
-        mine = solve(lp)
-        ref = scipy_linprog_solve(lp)
-        if ref.status != "optimal":
-            assert mine.status != "optimal"
-            continue
-        assert mine.optimal
-        assert check_kkt(lp, mine).passed(1e-6)
-        assert mine.objective == pytest.approx(ref.objective, abs=1e-6 * (1 + abs(ref.objective)))
-        # weak duality: dual objective must not undercut the primal
-        assert dual_objective(lp, mine) >= mine.objective - 1e-6 * (1 + abs(mine.objective))
+        solve_and_check_against_highs(random_feasible_lp(rng))
+
+
+def test_bounded_random_lps_converge_in_the_interior_point():
+    # with a finite bound on every column, generic LPs stay in the interior
+    # point instead of going to the exact engine
+    rng = np.random.default_rng(7)
+    results = [solve_and_check_against_highs(random_feasible_lp(rng, low=-5.0)) for _ in range(30)]
+    assert sum(res.message == "converged" for res in results) >= 25
 
 
 def test_simplex_agrees_with_scipy():
@@ -437,18 +472,20 @@ def test_sparse_path_matches_dense_path_on_boxed_lps(seed, monkeypatch):
         assert_same_solution(*solve_dense_and_sparse(lp, monkeypatch))
 
 
-def test_sparse_path_solves_free_variables_with_equalities(monkeypatch):
-    # the free column's Schur complement hands the block solve a 2-D right-hand side
-    lp = StandardFormLP(
-        c=[1, 0, 0],
-        a_ub=[[1, -1, 0]],
-        b_ub=[0.0],
-        a_eq=[[0, 1, 1]],
-        b_eq=[1.0],
-        lo=[-np.inf, 0, 0],
-        hi=[np.inf, np.inf, np.inf],
-    )
+def test_sparse_path_solves_free_variables_with_equalities(monkeypatch, potrf_calls):
+    highs_calls = []
+
+    def spying_highs(lp, opts=None):
+        highs_calls.append(lp)
+        return scipy_linprog_solve(lp, opts)
+
+    monkeypatch.setattr(lp_module, "scipy_linprog_solve", spying_highs)
+    lp = free_variable_lp()
     dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+    # a free column sends the LP straight to the exact engine of its path
+    assert dense.message == "simplex"
+    assert len(highs_calls) == 1 and highs_calls[0] is lp
+    assert potrf_calls == []
     assert sparse.objective == pytest.approx(1.0, abs=1e-8)
     assert check_kkt(lp, sparse).passed(1e-6)
     assert_same_solution(dense, sparse)
@@ -561,10 +598,9 @@ def test_block_normal_solver_solves_the_normal_equations():
     m_mat = (a_hat.multiply(dinv[None, :]) @ a_hat.T).toarray() + np.diag(e_diag)
     rows = lp_module._disjoint_rows(a_hat)
     m_solve = lp_module._block_normal_solver(a_hat, rows, dinv, e_diag)
-    # one right-hand side, and several at once as for the free columns
-    for rhs in (rng.normal(size=a_hat.shape[0]), rng.normal(size=(a_hat.shape[0], 3))):
-        expected = np.linalg.solve(m_mat, rhs)
-        np.testing.assert_allclose(m_solve(rhs), expected, rtol=0, atol=1e-9 * np.abs(expected).max())
+    rhs = rng.normal(size=a_hat.shape[0])
+    expected = np.linalg.solve(m_mat, rhs)
+    np.testing.assert_allclose(m_solve(rhs), expected, rtol=0, atol=1e-9 * np.abs(expected).max())
 
 
 
@@ -582,15 +618,12 @@ def test_normal_solvers_match_scipy_cholesky_bit_for_bit(monkeypatch):
         return None
 
     def assert_matches_scipy(make_solver, num_rows):
-        rhs_list = [rng.normal(size=num_rows), rng.normal(size=(num_rows, 3))]
-        direct = make_solver()
-        got = [direct(rhs) for rhs in rhs_list]
+        rhs = rng.normal(size=num_rows)
+        got = make_solver()(rhs)
         with monkeypatch.context() as patch:
             patch.setattr(lp_module, "_cho_factor_jittered", scipy_factor)
             patch.setattr(lp_module, "_cho_solve", lambda f, rhs: cho_solve(f, rhs, check_finite=False))
-            reference = make_solver()
-            for rhs, out in zip(rhs_list, got):
-                assert np.array_equal(out, reference(rhs))
+            assert np.array_equal(got, make_solver()(rhs))
 
     rng = np.random.default_rng(12)
     m, n = 9, 20
