@@ -309,6 +309,10 @@ def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         print("need at least one trial", file=sys.stderr)
         return EXIT_INPUT
+    for flag, value in (("--h", args.h), ("--threshold", args.threshold)):
+        if not (np.isfinite(value) and value > 0):
+            print(f"{flag} must be finite and positive, got {value!r}", file=sys.stderr)
+            return EXIT_INPUT
     out = _out_dir(args)
     scenario, weights = _load_inputs(args)
     if scenario.num_relay == 0:

@@ -11,27 +11,25 @@ prices, so the solver keeps iterating well past the requested gap when
 it can, and every result can be re-checked with :func:`check_kkt`.
 
 The default engine is an infeasible-start predictor-corrector
-interior-point method on the reduced normal equations.  Small problems
-factor the normal matrix densely.  Larger ones keep it sparse and first
-eliminate, exactly, a set of rows with disjoint column supports, whose
-block of the normal matrix is diagonal (the capacity rows of a flow LP,
-where every flow column sits in one capacity row); only the Schur
-complement of the remaining rows is factored densely.  Every solve runs
-on one OpenBLAS thread.  Interior-point iterates converge to the
-analytic center of the optimal face, so when the dual optimum is not
-unique the reported duals are the centered ones, which is what a
-subgradient-style consumer wants.
+interior-point method on the reduced normal equations, which it factors
+densely.  It takes problems with at most ``_DENSE_MAX_ENTRIES``
+constraint-matrix entries; larger ones go to HiGHS's interior point
+with crossover (``highs-ipm``), whose result is returned as it is.
+Every solve runs on one OpenBLAS thread.  The in-repo iterates converge
+to the analytic center of the optimal face, so when the dual optimum is
+not unique the reported duals are the centered ones, which is what a
+subgradient-style consumer wants; above the threshold they are the
+duals of HiGHS's optimal vertex, whose complementarity is exact.
 
-The interior point takes only LPs with at least one row and a finite
-bound on every column, as every flow LP is.  Each other LP goes
-straight to an exact engine: the dense two-phase simplex in
-:mod:`relayflow.simplex` when the problem is small enough for the dense
-path, HiGHS otherwise.  The interior point itself has two exits: it
-converges, or it hands the problem to that same exact engine and
-returns its result, which also classifies infeasible and unbounded
-LPs.  The hand-off happens when progress stalls short of the target, as
-it can on degenerate problems, and also when a step collapses, a
-factorization fails or the iteration cap is reached.
+The in-repo interior point takes only LPs with at least one row and a
+finite bound on every column, as every flow LP is.  Each other LP goes
+straight to the dense two-phase simplex in :mod:`relayflow.simplex`.
+The interior point itself has two exits: it converges, or it hands the
+problem to that same simplex and returns its result, which also
+classifies infeasible and unbounded LPs.  The hand-off happens when
+progress stalls short of the target, as it can on degenerate problems,
+and also when a step collapses, a factorization fails or the iteration
+cap is reached.
 
 Any callable with the signature ``engine(lp, options) -> LpResult`` can
 be plugged in through ``SolverOptions.engine``; an adapter around
@@ -53,10 +51,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-# interior-point iteration cap; a solve that reaches it goes to an exact engine
+# interior-point iteration cap; a solve that reaches it goes to the simplex
 _MAX_ITERS = 200
-# constraint-matrix entries (variables x rows) up to which the interior
-# point works on dense arrays; larger problems take the block-elimination path
+# constraint-matrix entries (variables x rows) up to which the in-repo
+# interior point solves the LP on dense arrays; larger problems go to HiGHS
 _DENSE_MAX_ENTRIES = 500_000
 # the LAPACK Cholesky routines behind scipy's cho_factor and cho_solve,
 # called directly: on the small normal matrices of flow LPs the wrappers'
@@ -141,8 +139,8 @@ class SolverOptions:
 @dataclass
 class LpResult:
     # optimal | infeasible | unbounded | numerical, or iteration_limit from
-    # HiGHS; the interior point itself returns only optimal, every other
-    # status is the verdict of the exact engine it hands off to
+    # HiGHS; the in-repo interior point itself returns only optimal, every
+    # other status is the verdict of the simplex or of HiGHS
     status: str
     x: np.ndarray
     objective: float
@@ -292,13 +290,11 @@ def blas_thread_controls() -> tuple[BlasThreadControl, ...]:
 class _OneBlasThread:
     """Holds every BLAS at one thread while any solve is inside :meth:`scope`.
 
-    Waking more OpenBLAS threads costs more than they save on the
-    matrices the solver factors: the small dense normal matrices of the
-    dense path and the 1 425-row Schur complement of ``team25x10`` on the
-    sparse path (its Cholesky factor took 39 ms on one thread and 134 ms
-    on two of a 2-core host).  The count is process-wide,
-    so overlapping scopes (nested, or in concurrent threads) share one
-    pin, and the last to leave restores the counts the first one found.
+    Waking more OpenBLAS threads costs more than they save on the small
+    dense normal matrices the interior point factors (132 rows on
+    ``team5x4``).  The count is process-wide, so overlapping scopes
+    (nested, or in concurrent threads) share one pin, and the last to
+    leave restores the counts the first one found.
     """
 
     def __init__(self) -> None:
@@ -392,68 +388,6 @@ def _dense_normal_solver(a_hat: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray
     return m_solve
 
 
-def _disjoint_rows(a: sp.csr_matrix) -> np.ndarray:
-    """Sorted indices of nonempty rows of ``a`` with pairwise disjoint
-    column supports, picked greedily from the sparsest row up.
-
-    For every diagonal D, ``A D A'`` restricted to these rows is
-    diagonal.  In the flow LP they are the capacity rows (each flow
-    column sits in exactly one) plus one epigraph row per commodity.
-    """
-    a = a.copy()
-    a.sum_duplicates()
-    a.eliminate_zeros()  # a row of stored zeros is empty
-    nnz = np.diff(a.indptr)
-    used = np.zeros(a.shape[1], dtype=bool)
-    chosen = []
-    for row in np.argsort(nnz, kind="stable"):
-        cols = a.indices[a.indptr[row] : a.indptr[row + 1]]
-        if cols.size and not used[cols].any():
-            used[cols] = True
-            chosen.append(row)
-    return np.sort(np.asarray(chosen, dtype=int))
-
-
-def _block_normal_solver(
-    a_hat: sp.csr_matrix, rows1: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray
-):
-    """Solve with the sparse M = A D^-1 A' + E by eliminating the rows
-    ``rows1`` from :func:`_disjoint_rows`, with one round of iterative
-    refinement against M; None if the Schur complement cannot be factored.
-
-    M11 = M[R1, R1] is diagonal, so the elimination is exact and the only
-    factor is the dense Schur complement S = M22 - M21 M11^-1 M12 of the
-    other rows R2: 1 425 of 2 640 rows on ``team25x10``.
-    """
-    m_mat = (a_hat.multiply(dinv[None, :]) @ a_hat.T + sp.diags(e_diag)).tocsr()
-    rows2 = np.setdiff1d(np.arange(m_mat.shape[0]), rows1)
-    d1 = m_mat.diagonal()[rows1]
-    m_rows2 = m_mat[rows2]
-    m21 = m_rows2[:, rows1]
-    m12 = m21.T.tocsr()
-    # S is about a third full and M22 much sparser: assemble S dense
-    schur = (m21.multiply(-1.0 / d1[None, :]) @ m12).toarray()
-    m22 = m_rows2[:, rows2].tocoo()
-    schur[m22.row, m22.col] += m22.data
-    factor = _cho_factor_jittered(schur)
-    if factor is None:
-        return None
-
-    def block_solve(rhs: np.ndarray) -> np.ndarray:
-        r1 = rhs[rows1]
-        x = np.empty_like(rhs)
-        x[rows2] = x2 = _cho_solve(factor, rhs[rows2] - m21 @ (r1 / d1))
-        x[rows1] = (r1 - m12 @ x2) / d1
-        return x
-
-    def m_solve(rhs: np.ndarray) -> np.ndarray:
-        sol = block_solve(rhs)
-        sol += block_solve(rhs - m_mat @ sol)
-        return sol
-
-    return m_solve
-
-
 def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
     """Mehrotra predictor-corrector interior-point method with an exact endgame.
 
@@ -463,9 +397,17 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     magnitude below ``SolverOptions.tol`` in relative duality gap and
     in primal and dual infeasibility.
 
-    The exact engine is :func:`relayflow.simplex.solve_simplex` on the
-    dense path and :func:`scipy_linprog_solve` (HiGHS) on the sparse
-    path, where the simplex's dense arrays would be too large.  It
+    Problems with more than ``_DENSE_MAX_ENTRIES`` constraint-matrix
+    entries go to HiGHS's interior point with crossover (``highs-ipm``),
+    and its result is returned as it is: ``status``, ``message`` and
+    ``iterations`` are HiGHS's, and the duals are those of its optimal
+    vertex, so their complementarity is exact and they pass the same
+    verification.  A cold ``team25x10`` solve (30 375 columns, 2 640
+    rows) takes about 2 s that way on a 2-core host, spawn seed 1
+    included.
+
+    Smaller problems are solved on dense arrays, with
+    :func:`relayflow.simplex.solve_simplex` as the exact engine.  It
     solves, from the start, every LP without rows and every LP with a
     free column (infinite on both sides): the interior point takes only
     LPs with rows and a finite bound on every column, as every flow LP
@@ -474,20 +416,10 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     problems can make progress level off near a relative accuracy of
     1e-6 in double precision; a step can also collapse, a factorization
     fail, or ``_MAX_ITERS`` run out, as on an infeasible or unbounded
-    LP) the exact engine finishes the solve from scratch and its result
-    is returned as is, ``infeasible`` and ``unbounded`` verdicts
-    included.  ``iterations`` then counts the interior-point Newton steps
-    plus the exact engine's own iterations (simplex: 0; HiGHS: its
-    ``nit``).
-
-    Problems with at most ``_DENSE_MAX_ENTRIES`` constraint-matrix
-    entries are solved on dense arrays.  Larger ones keep the constraint
-    and normal matrices sparse, eliminate the diagonal block of the rows
-    that :func:`_disjoint_rows` picks, and factor only the dense Schur
-    complement of the other rows; a cold ``team25x10`` solve (2 640 rows,
-    1 215 of them eliminated) takes about 4 s instead of 13 s that way.
-    Spawn seed 1 of that size stalls on this path, and HiGHS finishes it
-    (40–48 s in all on a 2-core host).
+    LP) the simplex finishes the solve from scratch and its result is
+    returned as is, ``infeasible`` and ``unbounded`` verdicts included.
+    ``iterations`` then counts the interior-point Newton steps (the
+    simplex reports none of its own).
 
     Every solve, exact engine included, runs on one OpenBLAS thread.
     That thread count is process-wide: it holds for every thread of the
@@ -495,35 +427,33 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     afterwards, also when the solve raises.  The package runs no threads
     of its own; solves that overlap in a caller's threads share one pin.
     """
+    opts = opts if opts is not None else SolverOptions()
+    free = ~(np.isfinite(lp.lo) | np.isfinite(lp.hi))
+    with _ONE_BLAS_THREAD.scope():
+        if lp.num_vars * (lp.num_ineq + lp.num_eq) > _DENSE_MAX_ENTRIES:
+            return _highs(lp, "highs-ipm")
+        if lp.num_ineq + lp.num_eq == 0 or free.any():
+            return _simplex(lp, opts)
+        return _interior_point(lp, opts)
+
+
+def _simplex(lp: StandardFormLP, opts: SolverOptions) -> LpResult:
     # simplex imports this module; the engine is looked up through the
     # module attribute, so a wrapper installed on simplex.solve_simplex sees it
     from . import simplex
 
-    opts = opts if opts is not None else SolverOptions()
-    dense = lp.num_vars * (lp.num_ineq + lp.num_eq) <= _DENSE_MAX_ENTRIES
-    exact = simplex.solve_simplex if dense else scipy_linprog_solve
-    free = ~(np.isfinite(lp.lo) | np.isfinite(lp.hi))
-    with _ONE_BLAS_THREAD.scope():
-        if lp.num_ineq + lp.num_eq == 0 or free.any():
-            return exact(lp, opts)
-        return _interior_point(lp, opts, dense, exact)
+    return simplex.solve_simplex(lp, opts)
 
 
-def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool, exact: Callable) -> LpResult:
+def _interior_point(lp: StandardFormLP, opts: SolverOptions) -> LpResult:
     m_in, m_eq = lp.num_ineq, lp.num_eq
     has_lo = np.isfinite(lp.lo)
     has_hi = np.isfinite(lp.hi)
 
-    a_ub, a_eq = lp.a_ub, lp.a_eq
-    a_hat = sp.vstack([a_eq, a_ub], format="csr")
-
-    # sparse per-call overhead dwarfs the arithmetic on small problems
-    if dense:
-        a_ub = a_ub.toarray()
-        a_eq = a_eq.toarray()
-        a_hat = a_hat.toarray()
-    else:
-        rows1 = _disjoint_rows(a_hat)
+    # sparse per-call overhead dwarfs the arithmetic at this size
+    a_ub = lp.a_ub.toarray()
+    a_eq = lp.a_eq.toarray()
+    a_hat = sp.vstack([lp.a_eq, lp.a_ub], format="csr").toarray()
     a_ub_t = a_ub.T
     a_eq_t = a_eq.T
     a_hat_t = a_hat.T
@@ -600,10 +530,7 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool, exact:
         # normal matrix plus slack scaling
         dinv = 1.0 / (np.where(has_lo, zl / gl, 0.0) + np.where(has_hi, zu / gu, 0.0))
         e_diag = np.concatenate([np.zeros(m_eq), s / w])
-        if dense:
-            m_solve = _dense_normal_solver(a_hat, dinv, e_diag)
-        else:
-            m_solve = _block_normal_solver(a_hat, rows1, dinv, e_diag)
+        m_solve = _dense_normal_solver(a_hat, dinv, e_diag)
         if m_solve is None:
             break
 
@@ -696,9 +623,9 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool, exact:
         zu += a_d * dzu
         iters += 1
 
-    # stalled, collapsed step, failed factor or iteration cap: the exact
-    # engine decides
-    result = exact(lp, opts)
+    # stalled, collapsed step, failed factor or iteration cap: the simplex
+    # decides
+    result = _simplex(lp, opts)
     result.iterations += iters
     return result
 
@@ -709,26 +636,28 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions, dense: bool, exact:
 
 
 def scipy_linprog_solve(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
-    """Engine adapter around scipy.optimize.linprog (HiGHS).
+    """Engine adapter around scipy.optimize.linprog (HiGHS, ``method="highs"``).
 
     Satisfies the same contract as the in-repo engine, including the
     maximization dual conventions, so it can be swapped in through
     ``SolverOptions.engine`` or used as an independent cross-check.
     """
+    return _highs(lp, "highs")
+
+
+def _highs(lp: StandardFormLP, method: str) -> LpResult:
+    """Solve with HiGHS through scipy.optimize.linprog's ``method``."""
     from scipy.optimize import linprog
 
-    bounds = [
-        (lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-        for lo, hi in zip(lp.lo, lp.hi)
-    ]
     res = linprog(
         c=-lp.c,
         A_ub=lp.a_ub if lp.num_ineq else None,
         b_ub=lp.b_ub if lp.num_ineq else None,
         A_eq=lp.a_eq if lp.num_eq else None,
         b_eq=lp.b_eq if lp.num_eq else None,
-        bounds=bounds,
-        method="highs",
+        # linprog reads infinite bounds as absent ones
+        bounds=np.column_stack([lp.lo, lp.hi]),
+        method=method,
     )
     status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(
         res.status, "numerical"

@@ -109,8 +109,8 @@ class ScenarioConfig:
             raise ValueError("need at least one task agent")
         if self.num_relay < 0:
             raise ValueError("relay count cannot be negative")
-        if not self.density > 0.0:
-            raise ValueError("density must be positive")
+        if not (math.isfinite(self.density) and self.density > 0.0):
+            raise ValueError(f"density must be finite and positive, got {self.density!r}")
 
 
 def default_commodities(num_task: int) -> tuple[CommoditySpec, ...]:

@@ -1,11 +1,10 @@
-"""Bounded-variable revised simplex, the exact endgame of dense LP solves.
+"""Bounded-variable revised simplex, the exact endgame of the interior point.
 
 The interior-point engine is the fast default, but on heavily
 degenerate problems its normal-equations endgame can level off around
-a relative accuracy of 1e-6.  On the interior point's dense path this
-module finishes such solves, and solves LPs without rows or with a free
-column from the start, with a classic two-phase primal simplex over the
-equality form
+a relative accuracy of 1e-6.  This module finishes such solves, and
+solves LPs without rows or with a free column from the start, with a
+classic two-phase primal simplex over the equality form
 
     minimize f'x   s.t.   M x = rhs,   lb <= x <= ub
 
@@ -14,8 +13,9 @@ artificial variables out of an identity basis; phase two optimizes the
 real objective.  Pricing is Dantzig by default and switches to Bland's
 rule after a run of degenerate pivots, which makes termination finite.
 ``M`` and the artificial columns are one dense array and the basis
-inverse is kept explicitly and refreshed periodically, which is fast at
-the dense path's scale; sparse-path stalls go to HiGHS instead.
+inverse is kept explicitly and refreshed periodically, which is fast
+at the sizes the interior point takes (``lp._DENSE_MAX_ENTRIES``);
+larger LPs go to HiGHS instead.
 
 Basic solutions put every nonbasic variable exactly on a bound, so the
 complementarity of the returned duals is exact, something the

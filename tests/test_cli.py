@@ -235,5 +235,26 @@ def test_gradcheck_rejects_nonpositive_trials(tmp_path, pair_file, trials):
     assert not (out / "gradcheck.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--threshold", "nan"), ("--threshold", "-1"), ("--threshold", "inf"), ("--h", "nan"), ("--h", "0")],
+)
+def test_gradcheck_rejects_a_step_or_threshold_that_is_not_positive(tmp_path, pair_file, capsys, option, value):
+    out = tmp_path / "gc"
+    rc = main(["gradcheck", "--scenario", str(pair_file), f"{option}={value}", "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert f"{option} must be finite and positive" in capsys.readouterr().err
+    assert not (out / "gradcheck.txt").exists()
+
+
+@pytest.mark.parametrize("density", ["inf", "nan", "0"])
+def test_spawn_rejects_a_density_that_is_not_finite_and_positive(tmp_path, capsys, density):
+    out = tmp_path / "team"
+    rc = main(["spawn", "--num-task", "3", f"--density={density}", "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert "density must be finite and positive" in capsys.readouterr().err
+    assert not (out / "scenario.json").exists()
+
+
 def test_usage_error_returns_two():
     assert main(["solve"]) == 2  # missing required arguments

@@ -11,7 +11,6 @@ from relayflow import (
     SolverOptions,
     StandardFormLP,
     build_instance,
-    build_lp,
     check_kkt,
     scipy_linprog_solve,
     solve,
@@ -405,23 +404,6 @@ def test_blas_scope_from_many_threads(fake_blas):
     assert counts(fake_blas) == [2, 3]
 
 
-def test_sparse_solve_runs_on_one_blas_thread(fake_blas, monkeypatch):
-    # a threshold of 1 puts every LP with rows on the sparse path
-    monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
-    seen = []
-    real_potrf = lp_module._potrf
-
-    def spying_potrf(*args, **kwargs):
-        seen.append(counts(fake_blas))
-        return real_potrf(*args, **kwargs)
-
-    monkeypatch.setattr(lp_module, "_potrf", spying_potrf)
-    res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
-    assert res.optimal
-    assert seen and all(counts == [1, 1] for counts in seen)
-    assert counts(fake_blas) == [2, 3]
-
-
 def test_solution_does_not_depend_on_the_blas_controls(monkeypatch):
     # large enough for OpenBLAS to spread the normal-matrix products over
     # threads when it is not pinned
@@ -440,7 +422,7 @@ def test_solution_does_not_depend_on_the_blas_controls(monkeypatch):
 def solve_dense_and_sparse(lp, monkeypatch):
     dense = solve_interior_point(lp)
     with monkeypatch.context() as patch:
-        # a threshold of 1 puts every LP with rows on the sparse path
+        # a threshold of 1 sends every LP with rows to HiGHS's interior point
         patch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
         sparse = solve_interior_point(lp)
     return dense, sparse
@@ -466,25 +448,41 @@ def sparse_boxed_lp(rng, n, m_in, m_eq):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_sparse_path_matches_dense_path_on_boxed_lps(seed, monkeypatch):
+    # HiGHS's crossover ends on a vertex and the in-repo interior point
+    # near the center of the optimal face, so only the optimal value has
+    # to agree when that face is not a single point
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(10, 40))
     for lp in (boxed_lp(rng, n, int(rng.integers(2, 25))), sparse_boxed_lp(rng, n, n // 2, n // 5)):
-        assert_same_solution(*solve_dense_and_sparse(lp, monkeypatch))
+        dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+        assert dense.optimal and sparse.optimal
+        assert sparse.objective == pytest.approx(dense.objective, abs=1e-8)
+        assert check_kkt(lp, sparse).passed(1e-6)
 
 
-def test_sparse_path_solves_free_variables_with_equalities(monkeypatch, potrf_calls):
-    highs_calls = []
+@pytest.fixture()
+def linprog_methods(monkeypatch):
+    """The ``method`` of every scipy.optimize.linprog call."""
+    import scipy.optimize
 
-    def spying_highs(lp, opts=None):
-        highs_calls.append(lp)
-        return scipy_linprog_solve(lp, opts)
+    methods = []
+    real_linprog = scipy.optimize.linprog
 
-    monkeypatch.setattr(lp_module, "scipy_linprog_solve", spying_highs)
+    def spying_linprog(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spying_linprog)
+    return methods
+
+
+def test_sparse_path_solves_free_variables_with_equalities(monkeypatch, potrf_calls, linprog_methods):
     lp = free_variable_lp()
     dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
-    # a free column sends the LP straight to the exact engine of its path
+    # below the threshold a free column sends the LP straight to the
+    # simplex; above it, HiGHS's interior point takes it like any other
     assert dense.message == "simplex"
-    assert len(highs_calls) == 1 and highs_calls[0] is lp
+    assert linprog_methods == ["highs-ipm"]
     assert potrf_calls == []
     assert sparse.objective == pytest.approx(1.0, abs=1e-8)
     assert check_kkt(lp, sparse).passed(1e-6)
@@ -498,33 +496,29 @@ def test_sparse_path_solves_equality_only_lps(monkeypatch):
     assert_same_solution(dense, sparse)
 
 
-def test_sparse_path_stall_finishes_in_highs(monkeypatch):
-    # the simplex's dense arrays are for dense-path problems; a sparse-path
-    # solve that stops short is finished by HiGHS
+def test_lps_above_the_threshold_go_to_highs_ipm_alone(monkeypatch, linprog_methods):
+    # no in-repo iterations first and no simplex after: HiGHS's interior
+    # point with crossover solves the LP, and its result comes back as is
     monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
-    monkeypatch.setattr(lp_module, "_MAX_ITERS", 1)
-    simplex_calls = []
+    results = []
+    real_highs = lp_module._highs
 
-    def spying_simplex(lp, opts=None):
-        simplex_calls.append(lp)
-        return solve_simplex(lp, opts)
+    def spying_highs(lp, method):
+        results.append(real_highs(lp, method))
+        return results[-1]
 
-    highs_nits = []
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an in-repo engine ran above the threshold")
 
-    def spying_highs(lp, opts=None):
-        result = scipy_linprog_solve(lp, opts)
-        highs_nits.append(result.iterations)
-        return result
-
-    monkeypatch.setattr(simplex_module, "solve_simplex", spying_simplex)
-    monkeypatch.setattr(lp_module, "scipy_linprog_solve", spying_highs)
+    monkeypatch.setattr(lp_module, "_highs", spying_highs)
+    monkeypatch.setattr(lp_module, "_interior_point", forbidden)
+    monkeypatch.setattr(simplex_module, "solve_simplex", forbidden)
     lp = boxed_lp(np.random.default_rng(3), 8, 5)
     res = solve_interior_point(lp)
-    assert simplex_calls == []
-    assert len(highs_nits) == 1
+    assert linprog_methods == ["highs-ipm"]
+    assert len(results) == 1 and res is results[0]
     assert res.optimal
     assert check_kkt(lp, res).passed(1e-6)
-    assert res.iterations == 1 + highs_nits[0]
 
 
 def test_sparse_path_handles_empty_rows(monkeypatch):
@@ -553,55 +547,6 @@ def test_sparse_path_keeps_typed_statuses(monkeypatch):
     for lp, status in ((infeasible, "infeasible"), (unbounded, "unbounded")):
         dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
         assert dense.status == sparse.status == status
-
-
-def assert_disjoint_and_maximal(a, rows):
-    support = (abs(a) > 0).astype(int)
-    chosen_cols = np.asarray(support[rows].sum(axis=0)).ravel()
-    assert chosen_cols.max(initial=0) <= 1  # pairwise disjoint supports
-    # every other nonempty row meets a chosen one, so the greedy missed none
-    others = np.setdiff1d(np.arange(a.shape[0]), rows)
-    assert np.all((support[others] @ chosen_cols)[support[others].getnnz(axis=1) > 0] > 0)
-
-
-def test_disjoint_rows_on_random_sparse_matrices():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 60)))
-        a = sp.random(*shape, density=0.08, random_state=rng, format="csr")
-        assert_disjoint_and_maximal(a, lp_module._disjoint_rows(a))
-    # a row that stores only zeros is empty, whatever its stored entries say
-    stored_zero_row = sp.csr_matrix(([0.0, 2.0], [0, 1], [0, 1, 2]), shape=(2, 2))
-    assert lp_module._disjoint_rows(stored_zero_row).tolist() == [1]
-
-
-def flow_lp():
-    """A spawned team's flow LP, its layout, and its rows in the solver's order."""
-    scenario = spawn_scenario(ScenarioConfig(num_task=6, num_relay=3, rng_seed=2))
-    lp, index = build_lp(build_instance(scenario, weight_preset("adhoc", len(scenario.commodities))))
-    return lp, index, sp.vstack([lp.a_eq, lp.a_ub], format="csr")
-
-
-def test_disjoint_rows_take_every_capacity_row_of_a_flow_lp():
-    lp, index, a_hat = flow_lp()
-    rows = lp_module._disjoint_rows(a_hat)
-    assert_disjoint_and_maximal(a_hat, rows)
-    cap_rows = lp.num_eq + index.cap_row0 + np.arange(index.num_pairs)
-    assert np.isin(cap_rows, rows).all()
-
-
-def test_block_normal_solver_solves_the_normal_equations():
-    lp, _, a_hat = flow_lp()
-    rng = np.random.default_rng(8)
-    dinv = 10.0 ** rng.uniform(-3, 3, lp.num_vars)
-    e_diag = np.concatenate([np.zeros(lp.num_eq), rng.uniform(0.1, 1.0, lp.num_ineq)])
-    m_mat = (a_hat.multiply(dinv[None, :]) @ a_hat.T).toarray() + np.diag(e_diag)
-    rows = lp_module._disjoint_rows(a_hat)
-    m_solve = lp_module._block_normal_solver(a_hat, rows, dinv, e_diag)
-    rhs = rng.normal(size=a_hat.shape[0])
-    expected = np.linalg.solve(m_mat, rhs)
-    np.testing.assert_allclose(m_solve(rhs), expected, rtol=0, atol=1e-9 * np.abs(expected).max())
-
 
 
 def test_normal_solvers_match_scipy_cholesky_bit_for_bit(monkeypatch):
@@ -637,16 +582,3 @@ def test_normal_solvers_match_scipy_cholesky_bit_for_bit(monkeypatch):
     m_mat = (a * dinv) @ a.T + np.diag(e_diag)
     assert lp_module._potrf(m_mat, lower=1)[1] > 0
     assert_matches_scipy(lambda: lp_module._dense_normal_solver(a, dinv, e_diag), m)
-
-    lp, _, a_hat = flow_lp()
-    rows = lp_module._disjoint_rows(a_hat)
-    flow_dinv = 10.0 ** rng.uniform(-3, 3, lp.num_vars)
-    flow_e = np.concatenate([np.zeros(lp.num_eq), rng.uniform(0.1, 1.0, lp.num_ineq)])
-    assert_matches_scipy(lambda: lp_module._block_normal_solver(a_hat, rows, flow_dinv, flow_e), a_hat.shape[0])
-
-    # every column in one row: every row is eliminated and the Schur complement is empty
-    diagonal = sp.csr_matrix((rng.normal(size=n), (np.arange(n) % m, np.arange(n))), shape=(m, n))
-    rows = lp_module._disjoint_rows(diagonal)
-    assert rows.size == m
-    e_diag = rng.uniform(0.1, 1.0, m)
-    assert_matches_scipy(lambda: lp_module._block_normal_solver(diagonal, rows, dinv, e_diag), m)

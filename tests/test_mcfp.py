@@ -392,8 +392,8 @@ def test_every_solve_is_verified(model):
 
 
 def test_sparse_path_solve_of_a_spawned_team(model):
-    # 15 agents are past the dense threshold, so the default engine
-    # eliminates the capacity rows and factors the Schur complement
+    # 15 agents are past the dense threshold, so the default engine hands
+    # the LP to HiGHS's interior point with crossover
     scenario = spawn_scenario(ScenarioConfig(num_task=10, num_relay=5, rng_seed=0), model)
     inst = build_instance(scenario, weight_preset("adhoc", 10))
     sol = solve_mcfp(inst)
@@ -401,6 +401,18 @@ def test_sparse_path_solve_of_a_spawned_team(model):
     assert verify_solution(inst, sol).passed
     ref = solve_mcfp(inst, SolverOptions(engine=scipy_linprog_solve))
     assert abs(sol.phi - ref.phi) <= 1e-6 * (1.0 + abs(ref.phi))
+
+
+def test_team25x10_spawn_seed_1_solves_verified(model):
+    # the team the CI step solves; it is above the dense threshold, so
+    # HiGHS's interior point with crossover takes it (about 2 s on a
+    # 2-core host)
+    scenario = spawn_scenario(ScenarioConfig(num_task=25, num_relay=10, rng_seed=1), model)
+    inst = build_instance(scenario, weight_preset("adhoc", 25))
+    sol = solve_mcfp(inst)
+    assert "HiGHS" in sol.lp_result.message
+    assert verify_solution(inst, sol).passed
+    assert sol.phi == pytest.approx(0.6189058980, abs=1e-9)
 
 
 def test_engines_agree_on_random_and_degenerate_scenarios(model):
