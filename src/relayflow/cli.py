@@ -25,7 +25,7 @@ from . import __version__
 from .ascent import AscentConfig, AscentError, ascend, finite_difference_phi, gradient_from_duals
 from .capacity import CapacityModel
 from .dynamics import MotionConfig, SimulationError, run_simulation
-from .lp import SolverOptions, blas_thread_controls
+from .lp import blas_thread_controls
 from .mcfp import (
     McfpSolveError,
     build_instance,
@@ -133,7 +133,7 @@ def cmd_solve(args) -> int:
     inst = build_instance(scenario, weights)
     t0 = time.perf_counter()
     try:
-        sol = solve_mcfp(inst, SolverOptions(tol=args.gap_tol))
+        sol = solve_mcfp(inst)
     except McfpSolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         # the engine produced output that failed verification, as opposed
@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one flow problem and verify it")
     p.add_argument("--scenario", required=True)
     p.add_argument("--weights", help="adhoc | ap:<j> | subset:<i,j,...> (default: file weights)")
-    p.add_argument("--gap-tol", type=float, default=1e-8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 

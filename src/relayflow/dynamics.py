@@ -59,6 +59,8 @@ class MotionConfig:
             raise ValueError("box_size must be positive")
         if self.duration < 0:
             raise ValueError("duration cannot be negative")
+        if any(index < 0 for index in self.pinned_tasks):
+            raise ValueError("pinned task indices cannot be negative")
 
     @property
     def accel_sigma(self) -> float:
@@ -223,9 +225,7 @@ def run_simulation(
     box_side = cfg.box_size if cfg.box_size is not None else area_side(scenario.num_task)
     if np.any(scenario.task_positions < 0) or np.any(scenario.task_positions > box_side):
         raise ValueError("task agents must start inside the navigation box")
-    if cfg.pinned_tasks and (
-        min(cfg.pinned_tasks) < 0 or max(cfg.pinned_tasks) >= scenario.num_task
-    ):
+    if cfg.pinned_tasks and max(cfg.pinned_tasks) >= scenario.num_task:
         raise ValueError("pinned task index out of range")
 
     if pre_optimize and scenario.num_relay:

@@ -7,29 +7,29 @@ Solves maximization LPs of the form
 and returns, alongside the optimizer, the dual vector of every
 constraint: inequality duals (nonnegative), equality duals (free) and
 bound duals.  Downstream code reads the inequality duals as shadow
-prices, so the solver keeps iterating well past the requested gap when
-it can, and every result can be re-checked with :func:`check_kkt`.
+prices, so the interior point iterates to a relative accuracy of 1e-9,
+and every result can be re-checked with :func:`check_kkt`.
 
-The default engine is an infeasible-start predictor-corrector
-interior-point method on the reduced normal equations, which it factors
-densely.  It takes problems with at most ``_DENSE_MAX_ENTRIES``
-constraint-matrix entries; larger ones go to HiGHS's interior point
-with crossover (``highs-ipm``), whose result is returned as it is.
-Every solve runs on one OpenBLAS thread.  The in-repo iterates converge
-to the analytic center of the optimal face, so when the dual optimum is
-not unique the reported duals are the centered ones, which is what a
-subgradient-style consumer wants; above the threshold they are the
-duals of HiGHS's optimal vertex, whose complementarity is exact.
+The default engine makes one decision.  An LP with at least one row, a
+finite bound on every column and at most ``_DENSE_MAX_ENTRIES``
+constraint-matrix entries, as every flow LP of a small team is, goes
+to an infeasible-start predictor-corrector interior-point method on the
+reduced normal equations, which it factors densely.  Every other LP
+goes to HiGHS's interior point with crossover (``highs-ipm``), whose
+result is returned as it is.  Every solve runs on one OpenBLAS thread.
+The in-repo iterates converge to the analytic center of the optimal
+face, so when the dual optimum is not unique the reported duals are
+the centered ones, which is what a subgradient-style consumer wants;
+HiGHS's are the duals of its optimal vertex, whose complementarity is
+exact.
 
-The in-repo interior point takes only LPs with at least one row and a
-finite bound on every column, as every flow LP is.  Each other LP goes
-straight to the dense two-phase simplex in :mod:`relayflow.simplex`.
-The interior point itself has two exits: it converges, or it hands the
-problem to that same simplex and returns its result, which also
-classifies infeasible and unbounded LPs.  The hand-off happens when
-progress stalls short of the target, as it can on degenerate problems,
-and also when a step collapses, a factorization fails or the iteration
-cap is reached.
+The in-repo interior point itself has two exits: it converges, or it
+hands the problem to the dense two-phase simplex in
+:mod:`relayflow.simplex` and returns its result, which also classifies
+infeasible and unbounded LPs.  The hand-off happens when progress
+stalls short of the target, as it can on degenerate problems, and also
+when a step collapses, a factorization fails or the iteration cap is
+reached.
 
 Any callable with the signature ``engine(lp, options) -> LpResult`` can
 be plugged in through ``SolverOptions.engine``; an adapter around
@@ -53,6 +53,9 @@ from scipy.linalg import get_lapack_funcs
 
 # interior-point iteration cap; a solve that reaches it goes to the simplex
 _MAX_ITERS = 200
+# relative duality gap and primal and dual infeasibility the interior
+# point stops at
+_TARGET = 1e-9
 # constraint-matrix entries (variables x rows) up to which the in-repo
 # interior point solves the LP on dense arrays; larger problems go to HiGHS
 _DENSE_MAX_ENTRIES = 500_000
@@ -89,6 +92,8 @@ class StandardFormLP:
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float).reshape(-1)
         n = self.c.shape[0]
+        if n == 0:
+            raise ValueError("an LP needs at least one variable")
         self.a_ub = _as_sparse(self.a_ub, n)
         self.a_eq = _as_sparse(self.a_eq, n)
         self.b_ub = (
@@ -128,12 +133,7 @@ class StandardFormLP:
 
 @dataclass
 class SolverOptions:
-    tol: float = 1e-8  # relative duality gap and primal/dual infeasibility
-    engine: Optional[Callable] = None
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+    engine: Optional[Callable] = None  # engine(lp, options) -> LpResult; None for the default
 
 
 @dataclass
@@ -393,33 +393,31 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
 
     Works on the minimization form internally; the duals it returns are
     already in the maximization convention of :class:`StandardFormLP`
-    (identical algebra, no sign flips needed).  Aims one order of
-    magnitude below ``SolverOptions.tol`` in relative duality gap and
-    in primal and dual infeasibility.
+    (identical algebra, no sign flips needed).  Stops at ``_TARGET``
+    (1e-9) in relative duality gap and in primal and dual infeasibility.
+    ``opts`` is accepted for the engine signature and not read.
 
-    Problems with more than ``_DENSE_MAX_ENTRIES`` constraint-matrix
-    entries go to HiGHS's interior point with crossover (``highs-ipm``),
-    and its result is returned as it is: ``status``, ``message`` and
-    ``iterations`` are HiGHS's, and the duals are those of its optimal
-    vertex, so their complementarity is exact and they pass the same
-    verification.  A cold ``team25x10`` solve (30 375 columns, 2 640
-    rows) takes about 2 s that way on a 2-core host, spawn seed 1
-    included.
+    The interior point takes an LP with at least one row, a finite bound
+    on every column and at most ``_DENSE_MAX_ENTRIES`` constraint-matrix
+    entries, as the flow LP of a team of up to about 13 agents is.
+    Every other LP goes to HiGHS's interior point with crossover
+    (``highs-ipm``), and its result is returned as it is: ``status``,
+    ``message`` and ``iterations`` are HiGHS's, and the duals are those
+    of its optimal vertex, so their complementarity is exact and they
+    pass the same verification.  A cold ``team25x10`` solve (30 375
+    columns, 2 640 rows) takes about 2 s that way on a 2-core host,
+    spawn seed 1 included.
 
-    Smaller problems are solved on dense arrays, with
-    :func:`relayflow.simplex.solve_simplex` as the exact engine.  It
-    solves, from the start, every LP without rows and every LP with a
-    free column (infinite on both sides): the interior point takes only
-    LPs with rows and a finite bound on every column, as every flow LP
-    is.  The interior point then has two exits.  It returns ``optimal``
-    ("converged") when the target is met.  Otherwise (degenerate
-    problems can make progress level off near a relative accuracy of
-    1e-6 in double precision; a step can also collapse, a factorization
-    fail, or ``_MAX_ITERS`` run out, as on an infeasible or unbounded
-    LP) the simplex finishes the solve from scratch and its result is
-    returned as is, ``infeasible`` and ``unbounded`` verdicts included.
-    ``iterations`` then counts the interior-point Newton steps (the
-    simplex reports none of its own).
+    The interior point works on dense arrays and has two exits.  It
+    returns ``optimal`` ("converged") when the target is met.
+    Otherwise (degenerate problems can make progress level off near a
+    relative accuracy of 1e-6 in double precision; a step can also
+    collapse, a factorization fail, or ``_MAX_ITERS`` run out, as on an
+    infeasible or unbounded LP)
+    :func:`relayflow.simplex.solve_simplex` finishes the solve from
+    scratch and its result is returned as is, ``infeasible`` and
+    ``unbounded`` verdicts included.  ``iterations`` then counts the
+    interior-point Newton steps (the simplex reports none of its own).
 
     Every solve, exact engine included, runs on one OpenBLAS thread.
     That thread count is process-wide: it holds for every thread of the
@@ -427,25 +425,23 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     afterwards, also when the solve raises.  The package runs no threads
     of its own; solves that overlap in a caller's threads share one pin.
     """
-    opts = opts if opts is not None else SolverOptions()
-    free = ~(np.isfinite(lp.lo) | np.isfinite(lp.hi))
+    num_rows = lp.num_ineq + lp.num_eq
+    bounded = np.isfinite(lp.lo) | np.isfinite(lp.hi)
     with _ONE_BLAS_THREAD.scope():
-        if lp.num_vars * (lp.num_ineq + lp.num_eq) > _DENSE_MAX_ENTRIES:
-            return _highs(lp, "highs-ipm")
-        if lp.num_ineq + lp.num_eq == 0 or free.any():
-            return _simplex(lp, opts)
-        return _interior_point(lp, opts)
+        if num_rows and bounded.all() and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES:
+            return _interior_point(lp)
+        return _highs(lp, "highs-ipm")
 
 
-def _simplex(lp: StandardFormLP, opts: SolverOptions) -> LpResult:
+def _simplex(lp: StandardFormLP) -> LpResult:
     # simplex imports this module; the engine is looked up through the
     # module attribute, so a wrapper installed on simplex.solve_simplex sees it
     from . import simplex
 
-    return simplex.solve_simplex(lp, opts)
+    return simplex.solve_simplex(lp)
 
 
-def _interior_point(lp: StandardFormLP, opts: SolverOptions) -> LpResult:
+def _interior_point(lp: StandardFormLP) -> LpResult:
     m_in, m_eq = lp.num_ineq, lp.num_eq
     has_lo = np.isfinite(lp.lo)
     has_hi = np.isfinite(lp.hi)
@@ -470,7 +466,6 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions) -> LpResult:
     )
     scale_obj = 1.0 + float(np.max(np.abs(f), initial=0.0))
 
-    target = max(1e-10, 1e-1 * opts.tol)  # one order below the requested tolerance
     progress_err = np.inf
     stall_count = 0
     eta = 0.9995
@@ -510,7 +505,7 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions) -> LpResult:
         else:
             stall_count += 1
 
-        if rel_gap <= target and rel_pinf <= target and rel_dinf <= target:
+        if rel_gap <= _TARGET and rel_pinf <= _TARGET and rel_dinf <= _TARGET:
             return LpResult(
                 status="optimal",
                 x=z.copy(),
@@ -625,7 +620,7 @@ def _interior_point(lp: StandardFormLP, opts: SolverOptions) -> LpResult:
 
     # stalled, collapsed step, failed factor or iteration cap: the simplex
     # decides
-    result = _simplex(lp, opts)
+    result = _simplex(lp)
     result.iterations += iters
     return result
 

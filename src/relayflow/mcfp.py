@@ -268,7 +268,6 @@ def solve_mcfp(inst: McfpInstance, opts: Optional[SolverOptions] = None) -> Flow
     returned point does not pass :func:`verify_solution` on ``inst``,
     so callers never see unverified output.
     """
-    opts = opts if opts is not None else SolverOptions()
     sol = _zero_solution(inst)
     keep = np.flatnonzero(inst.weights > 0)
     if keep.size == 0 or inst.num_agents < 2:

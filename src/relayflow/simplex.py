@@ -2,9 +2,9 @@
 
 The interior-point engine is the fast default, but on heavily
 degenerate problems its normal-equations endgame can level off around
-a relative accuracy of 1e-6.  This module finishes such solves, and
-solves LPs without rows or with a free column from the start, with a
-classic two-phase primal simplex over the equality form
+a relative accuracy of 1e-6.  This module is the dense path's stall
+endgame: it finishes such solves with a classic two-phase primal
+simplex over the equality form
 
     minimize f'x   s.t.   M x = rhs,   lb <= x <= ub
 

@@ -24,6 +24,8 @@ def test_motion_config_validation():
         MotionConfig(v_max=-1.0)
     with pytest.raises(ValueError):
         MotionConfig(box_size=0.0)
+    with pytest.raises(ValueError, match="negative"):
+        MotionConfig(pinned_tasks=(-1,))
     assert MotionConfig(accel_std=0.04).accel_sigma == pytest.approx(0.2)
     assert MotionConfig(duration=20.0, dt=0.2).num_steps == 100
 

@@ -96,11 +96,14 @@ def test_unbounded_lp_gets_typed_status(engine):
     assert engine(lp, SolverOptions()).status == "unbounded"
 
 
+def box_only_lp():
+    """No rows; the optimum z = (1.5, 0) has unique bound duals."""
+    return StandardFormLP(c=[2.0, -1.0], lo=[0.0, 0.0], hi=[1.5, np.inf])
+
+
 def test_box_only_lp():
-    lp = StandardFormLP(c=[2.0, -1.0], lo=[0.0, 0.0], hi=[1.5, np.inf])
-    res = solve(lp)
+    res = solve(box_only_lp())
     assert res.optimal
-    assert res.message == "simplex"  # rowless LPs go straight to the simplex
     np.testing.assert_allclose(res.x, [1.5, 0.0])
     np.testing.assert_array_equal(res.z_lower, [0.0, 1.0])
     np.testing.assert_array_equal(res.z_upper, [2.0, 0.0])
@@ -138,8 +141,8 @@ def test_free_variable_with_equalities(potrf_calls):
     lp = free_variable_lp()
     res = solve(lp)
     assert res.optimal
-    # a free column sends the LP straight to the simplex
-    assert res.message == "simplex" and res.iterations == 0
+    # a free column sends the LP straight to HiGHS
+    assert res.iterations == 0
     assert potrf_calls == []
     assert res.objective == pytest.approx(1.0, abs=1e-8)
     assert check_kkt(lp, res).passed(1e-6)
@@ -227,6 +230,8 @@ def test_solve_validates_shapes():
         StandardFormLP(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(ValueError):
         StandardFormLP(c=[1.0], lo=[2.0], hi=[1.0])
+    with pytest.raises(ValueError, match="at least one variable"):
+        StandardFormLP(c=np.zeros(0))
 
 
 SMALL_LP = dict(
@@ -479,10 +484,9 @@ def linprog_methods(monkeypatch):
 def test_sparse_path_solves_free_variables_with_equalities(monkeypatch, potrf_calls, linprog_methods):
     lp = free_variable_lp()
     dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
-    # below the threshold a free column sends the LP straight to the
-    # simplex; above it, HiGHS's interior point takes it like any other
-    assert dense.message == "simplex"
-    assert linprog_methods == ["highs-ipm"]
+    # a free column sends the LP to HiGHS's interior point on either
+    # side of the threshold
+    assert linprog_methods == ["highs-ipm", "highs-ipm"]
     assert potrf_calls == []
     assert sparse.objective == pytest.approx(1.0, abs=1e-8)
     assert check_kkt(lp, sparse).passed(1e-6)
@@ -496,10 +500,9 @@ def test_sparse_path_solves_equality_only_lps(monkeypatch):
     assert_same_solution(dense, sparse)
 
 
-def test_lps_above_the_threshold_go_to_highs_ipm_alone(monkeypatch, linprog_methods):
+def assert_goes_to_highs_ipm_alone(lp, monkeypatch, linprog_methods):
     # no in-repo iterations first and no simplex after: HiGHS's interior
     # point with crossover solves the LP, and its result comes back as is
-    monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
     results = []
     real_highs = lp_module._highs
 
@@ -513,12 +516,43 @@ def test_lps_above_the_threshold_go_to_highs_ipm_alone(monkeypatch, linprog_meth
     monkeypatch.setattr(lp_module, "_highs", spying_highs)
     monkeypatch.setattr(lp_module, "_interior_point", forbidden)
     monkeypatch.setattr(simplex_module, "solve_simplex", forbidden)
-    lp = boxed_lp(np.random.default_rng(3), 8, 5)
     res = solve_interior_point(lp)
     assert linprog_methods == ["highs-ipm"]
     assert len(results) == 1 and res is results[0]
     assert res.optimal
     assert check_kkt(lp, res).passed(1e-6)
+
+
+def test_lps_above_the_threshold_go_to_highs_ipm_alone(monkeypatch, linprog_methods):
+    monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
+    assert_goes_to_highs_ipm_alone(boxed_lp(np.random.default_rng(3), 8, 5), monkeypatch, linprog_methods)
+
+
+@pytest.mark.parametrize("make_lp", [box_only_lp, free_variable_lp], ids=["rowless", "free-column"])
+def test_lps_without_rows_or_with_a_free_column_go_to_highs_ipm_alone(monkeypatch, linprog_methods, make_lp):
+    lp = make_lp()
+    assert lp.num_vars * (lp.num_ineq + lp.num_eq) <= lp_module._DENSE_MAX_ENTRIES
+    assert_goes_to_highs_ipm_alone(lp, monkeypatch, linprog_methods)
+
+
+def test_the_pair_flow_lp_goes_to_the_interior_point(monkeypatch, pair_scenario):
+    # the benchmark's ascent trajectories rest on the centered duals of
+    # the in-repo interior point
+    calls = []
+    real_interior_point = lp_module._interior_point
+
+    def spying_interior_point(lp):
+        calls.append(lp)
+        return real_interior_point(lp)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a flow LP went to HiGHS")
+
+    monkeypatch.setattr(lp_module, "_interior_point", spying_interior_point)
+    monkeypatch.setattr(lp_module, "_highs", forbidden)
+    sol = solve_mcfp(build_instance(pair_scenario, np.ones(2)))
+    assert len(calls) == 1 and sol.lp is calls[0]
+    assert sol.lp_result.message == "converged"
 
 
 def test_sparse_path_handles_empty_rows(monkeypatch):
