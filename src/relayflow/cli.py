@@ -87,6 +87,8 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outpu
 
 
 def _out_dir(args) -> Path:
+    """Create ``--out``; each command calls this only once its inputs are
+    accepted, so a rejected command line leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -102,7 +104,6 @@ def _load_inputs(args):
 
 
 def cmd_spawn(args) -> int:
-    out = _out_dir(args)
     if args.preset is not None:
         if args.preset in _LAYOUTS:
             tasks, relays = _LAYOUTS[args.preset]
@@ -120,6 +121,7 @@ def cmd_spawn(args) -> int:
         cfg = ScenarioConfig(args.num_task, args.num_relay, args.density, args.seed)
         scenario = spawn_scenario(cfg)
     weights = weight_preset(args.weights or "adhoc", len(scenario.commodities))
+    out = _out_dir(args)
     path = out / "scenario.json"
     save_scenario(path, scenario, weights)
     _write_manifest(out, "spawn", args, {"scenario": str(path)}, {})
@@ -128,7 +130,6 @@ def cmd_spawn(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    out = _out_dir(args)
     scenario, weights = _load_inputs(args)
     inst = build_instance(scenario, weights)
     t0 = time.perf_counter()
@@ -142,6 +143,7 @@ def cmd_solve(args) -> int:
     solve_s = time.perf_counter() - t0
     report = verify_solution(inst, sol)
 
+    out = _out_dir(args)
     sol_path = out / "solution.json"
     sol_path.write_text(json.dumps(flow_solution_to_dict(sol), indent=2) + "\n", encoding="utf-8")
     lines = [
@@ -165,7 +167,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_ascend(args) -> int:
-    out = _out_dir(args)
     scenario, weights = _load_inputs(args)
     cfg = AscentConfig(
         alpha0=args.alpha,
@@ -184,6 +185,7 @@ def cmd_ascend(args) -> int:
         failed = True
     run_s = time.perf_counter() - t0
 
+    out = _out_dir(args)
     outputs = {}
     if trace is not None and trace.records:
         trace.save(csv_path=out / "trace.csv", json_path=out / "trace.json")
@@ -210,7 +212,6 @@ def cmd_ascend(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     scenario, weights = _load_inputs(args)
     cfg = MotionConfig(
         dt=args.dt,
@@ -231,6 +232,7 @@ def cmd_simulate(args) -> int:
         failed = True
     run_s = time.perf_counter() - t0
 
+    out = _out_dir(args)
     outputs = {}
     if timeline is not None and timeline.states:
         timeline.save(csv_path=out / "timeline.csv", json_path=out / "timeline.json")
@@ -254,7 +256,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    out = _out_dir(args)
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     except ValueError:
@@ -286,6 +287,7 @@ def cmd_bench(args) -> int:
         rows.append((num_task, mean_s, std_s))
         print(f"size {num_task:3d}: {mean_s:.4f} s +- {std_s:.4f} s over {args.repeats} solves")
 
+    out = _out_dir(args)
     csv_path = out / "bench.csv"
     lines = ["size,mean_s,std_s"] + [f"{a},{m!r},{s!r}" for a, m, s in rows]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -313,7 +315,6 @@ def cmd_gradcheck(args) -> int:
         if not (np.isfinite(value) and value > 0):
             print(f"{flag} must be finite and positive, got {value!r}", file=sys.stderr)
             return EXIT_INPUT
-    out = _out_dir(args)
     scenario, weights = _load_inputs(args)
     if scenario.num_relay == 0:
         print("scenario has no relay agents to differentiate", file=sys.stderr)
@@ -347,6 +348,7 @@ def cmd_gradcheck(args) -> int:
         f"threshold: {args.threshold:.1e}",
         f"result: {'PASS' if worst <= args.threshold and checked else 'FAIL'}",
     ]
+    out = _out_dir(args)
     (out / "gradcheck.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     _write_manifest(out, "gradcheck", args, {"report": str(out / "gradcheck.txt")}, {})

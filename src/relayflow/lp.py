@@ -40,11 +40,12 @@ an independent cross-check in the test suite.
 from __future__ import annotations
 
 import contextlib
+import copy
 import ctypes
 import functools
 import importlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -88,6 +89,9 @@ class StandardFormLP:
     b_eq: Optional[np.ndarray] = None
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
+    # the dense arrays the interior point solves this LP on, built by
+    # freeze() and shared with every copy with_data() makes
+    _dense: Optional["_DenseForm"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float).reshape(-1)
@@ -117,6 +121,30 @@ class StandardFormLP:
         data = (self.c, self.b_ub, self.b_eq, self.a_ub.data, self.a_eq.data)
         if not all(np.isfinite(arr).all() for arr in data):
             raise ValueError("objective, constraint matrices and right-hand sides must be finite")
+
+    def freeze(self) -> "StandardFormLP":
+        """Make the constraint matrices, ``b_eq`` and the bounds read-only,
+        build the dense arrays the in-repo interior point will solve this
+        LP on (none for an LP that goes to HiGHS), and return the LP."""
+        for arr in (self.a_ub.data, self.a_ub.indices, self.a_ub.indptr, self.a_eq.data,
+                    self.a_eq.indices, self.a_eq.indptr, self.b_eq, self.lo, self.hi):
+            arr.flags.writeable = False
+        if _takes_dense(self):
+            self._dense = _dense_form(self)
+        return self
+
+    def with_data(self, c, b_ub) -> "StandardFormLP":
+        """A copy with objective ``c`` and inequality right-hand side
+        ``b_ub`` that shares every other array, the dense ones of
+        :meth:`freeze` included."""
+        out = copy.copy(self)
+        out.c = np.asarray(c, dtype=float).reshape(-1)
+        out.b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+        if out.c.shape != self.c.shape or out.b_ub.shape != self.b_ub.shape:
+            raise ValueError("with_data needs c and b_ub of the LP's shapes")
+        if not (np.isfinite(out.c).all() and np.isfinite(out.b_ub).all()):
+            raise ValueError("objective and right-hand sides must be finite")
+        return out
 
     @property
     def num_vars(self) -> int:
@@ -323,26 +351,10 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _initial_point(lp, has_lo, has_hi):
-    z = np.zeros(lp.num_vars)
-    both = has_lo & has_hi
-    z[both] = 0.5 * (lp.lo[both] + lp.hi[both])
-    only_lo = has_lo & ~has_hi
-    z[only_lo] = lp.lo[only_lo] + 1.0
-    only_hi = has_hi & ~has_lo
-    z[only_hi] = lp.hi[only_hi] - 1.0
-    s = np.maximum(1.0, lp.b_ub - lp.a_ub @ z)
-    w = np.ones(lp.num_ineq)
-    y = np.zeros(lp.num_eq)
-    zl = np.where(has_lo, 1.0, 0.0)
-    zu = np.where(has_hi, 1.0, 0.0)
-    return z, s, w, y, zl, zu
-
-
 def _step_limit(vals: np.ndarray, step: np.ndarray) -> float:
     """Largest alpha with vals + alpha*step >= 0, assuming vals > 0."""
     neg = step < 0
-    return float(np.min(-vals[neg] / step[neg], initial=np.inf))
+    return float((-vals[neg] / step[neg]).min(initial=np.inf))
 
 
 def _cho_factor_jittered(mat: np.ndarray):
@@ -375,7 +387,8 @@ def _dense_normal_solver(a_hat: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray
     """Solve with M = A D^-1 A' + E from a dense Cholesky factor of M, with
     one round of iterative refinement; None if M cannot be factored."""
     m_mat = (a_hat * dinv[None, :]) @ a_hat.T
-    m_mat.flat[:: m_mat.shape[0] + 1] += e_diag
+    diag = m_mat.reshape(-1)[:: m_mat.shape[0] + 1]
+    diag += e_diag
     factor = _cho_factor_jittered(m_mat)
     if factor is None:
         return None
@@ -425,12 +438,78 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     afterwards, also when the solve raises.  The package runs no threads
     of its own; solves that overlap in a caller's threads share one pin.
     """
-    num_rows = lp.num_ineq + lp.num_eq
-    bounded = np.isfinite(lp.lo) | np.isfinite(lp.hi)
     with _ONE_BLAS_THREAD.scope():
-        if num_rows and bounded.all() and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES:
+        if _takes_dense(lp):
             return _interior_point(lp)
         return _highs(lp, "highs-ipm")
+
+
+def _takes_dense(lp: StandardFormLP) -> bool:
+    """Whether the in-repo interior point takes the LP: at least one row,
+    a finite bound on every column, at most ``_DENSE_MAX_ENTRIES`` entries."""
+    num_rows = lp.num_ineq + lp.num_eq
+    bounded = np.isfinite(lp.lo) | np.isfinite(lp.hi)
+    return bool(num_rows) and bool(bounded.all()) and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES
+
+
+class _DenseForm(NamedTuple):
+    """The arrays the interior point works on that depend only on the
+    constraint matrices and the bounds."""
+
+    a_ub: np.ndarray
+    a_eq: np.ndarray
+    a_hat: np.ndarray  # [a_eq; a_ub]
+    # columns with a finite lower (upper) bound, as a slice when they are
+    # contiguous, else as an index array, and their bounds
+    lo_at: object
+    hi_at: object
+    lo: np.ndarray
+    hi: np.ndarray
+    z0: np.ndarray  # the starting point: mid-box, or one unit inside a one-sided bound
+    source: tuple  # the a_ub, a_eq, lo and hi objects it was built from
+
+    def built_from(self, lp: StandardFormLP) -> bool:
+        return all(a is b for a, b in zip(self.source, (lp.a_ub, lp.a_eq, lp.lo, lp.hi)))
+
+
+def _columns(mask: np.ndarray):
+    """The positions of ``mask``'s True entries: a slice when they are
+    contiguous, else an index array."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return slice(0, 0)
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _dense_form(lp: StandardFormLP) -> _DenseForm:
+    """Dense copies of the constraint matrices (sparse per-call overhead
+    dwarfs the arithmetic at the sizes the interior point takes) and the
+    bound layout, all read-only."""
+    has_lo, has_hi = np.isfinite(lp.lo), np.isfinite(lp.hi)
+    z0 = np.zeros(lp.num_vars)
+    both = has_lo & has_hi
+    z0[both] = 0.5 * (lp.lo[both] + lp.hi[both])
+    only_lo = has_lo & ~has_hi
+    z0[only_lo] = lp.lo[only_lo] + 1.0
+    only_hi = has_hi & ~has_lo
+    z0[only_hi] = lp.hi[only_hi] - 1.0
+    form = _DenseForm(
+        a_ub=lp.a_ub.toarray(),
+        a_eq=lp.a_eq.toarray(),
+        a_hat=sp.vstack([lp.a_eq, lp.a_ub], format="csr").toarray(),
+        lo_at=_columns(has_lo),
+        hi_at=_columns(has_hi),
+        lo=lp.lo[has_lo],
+        hi=lp.hi[has_hi],
+        z0=z0,
+        source=(lp.a_ub, lp.a_eq, lp.lo, lp.hi),
+    )
+    for arr in form:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return form
 
 
 def _simplex(lp: StandardFormLP) -> LpResult:
@@ -442,24 +521,42 @@ def _simplex(lp: StandardFormLP) -> LpResult:
 
 
 def _interior_point(lp: StandardFormLP) -> LpResult:
+    form = lp._dense
+    if form is None or not form.built_from(lp):  # none cached, or a caller replaced an array
+        form = _dense_form(lp)
     m_in, m_eq = lp.num_ineq, lp.num_eq
-    has_lo = np.isfinite(lp.lo)
-    has_hi = np.isfinite(lp.hi)
-
-    # sparse per-call overhead dwarfs the arithmetic at this size
-    a_ub = lp.a_ub.toarray()
-    a_eq = lp.a_eq.toarray()
-    a_hat = sp.vstack([lp.a_eq, lp.a_ub], format="csr").toarray()
-    a_ub_t = a_ub.T
-    a_eq_t = a_eq.T
-    a_hat_t = a_hat.T
+    a_ub, a_eq, a_hat = form.a_ub, form.a_eq, form.a_hat
+    a_ub_t, a_eq_t, a_hat_t = a_ub.T, a_eq.T, a_hat.T
+    lo_at, hi_at = form.lo_at, form.hi_at
 
     f = -lp.c
     b_ub = lp.b_ub
     b_eq = lp.b_eq
 
-    z, s, w, y, zl, zu = _initial_point(lp, has_lo, has_hi)
-    num_comp = m_in + int(np.count_nonzero(has_lo)) + int(np.count_nonzero(has_hi))
+    # The complementarity pairs, stacked over the finite bounds only:
+    # pv = [s; z - lo; hi - z] and dv = [w; z_l; z_u] on the blocks ``wb``
+    # (slacks), ``lb``/``ub`` (lower/upper bounds) and ``bb`` (both).  A
+    # direction carries dpv = [ds; dz; -dz] and ddv = [dw; dz_l; dz_u], so
+    # each complementarity product, the dual update (-r - dv dpv) / pv,
+    # the refinement residual r + dv dpv + pv ddv, the updates and the
+    # step limits are one array operation each.  Every dot and matrix
+    # product keeps its operands and order; the elementwise ops differ
+    # only by exact rearrangements (x - (-y) as x + y, no + 0.0 on a
+    # column without that bound), so the iterates match to the last bit.
+    nl = form.lo.size
+    num_comp = m_in + nl + form.hi.size
+    wb = slice(0, m_in)
+    lb = slice(m_in, m_in + nl)
+    ub = slice(m_in + nl, num_comp)
+    bb = slice(m_in, num_comp)
+    z = form.z0.copy()
+    y = np.zeros(m_eq)
+    pv = np.empty(num_comp)
+    pv[wb] = np.maximum(1.0, b_ub - lp.a_ub @ z)
+    dv = np.ones(num_comp)
+    s, gl, gu = pv[wb], pv[lb], pv[ub]
+    w, zl, zu = dv[wb], dv[lb], dv[ub]
+    e_diag = np.zeros(m_eq + m_in)
     scale_rhs = 1.0 + max(
         float(np.max(np.abs(b_ub), initial=0.0)),
         float(np.max(np.abs(b_eq), initial=0.0)),
@@ -472,26 +569,19 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
 
     iters = 0  # Newton steps taken
     while iters < _MAX_ITERS:
-        gl = np.where(has_lo, z - lp.lo, 1.0)
-        gu = np.where(has_hi, lp.hi - z, 1.0)
+        np.subtract(z[lo_at], form.lo, out=gl)
+        np.subtract(form.hi, z[hi_at], out=gu)
 
-        r_d = f + a_ub_t @ w + a_eq_t @ y - zl + zu
+        r_d = f + a_ub_t @ w + a_eq_t @ y
+        r_d[lo_at] -= zl
+        r_d[hi_at] += zu
         r_eq = a_eq @ z - b_eq
         r_in = a_ub @ z + s - b_ub
 
-        mu = (
-            float(w @ s)
-            + float(zl[has_lo] @ gl[has_lo])
-            + float(zu[has_hi] @ gu[has_hi])
-        ) / max(num_comp, 1)
+        mu = (float(w @ s) + float(zl @ gl) + float(zu @ gu)) / max(num_comp, 1)
 
         p_obj = float(f @ z)
-        d_obj = (
-            -float(b_ub @ w)
-            - float(b_eq @ y)
-            + float(lp.lo[has_lo] @ zl[has_lo])
-            - float(lp.hi[has_hi] @ zu[has_hi])
-        )
+        d_obj = -float(b_ub @ w) - float(b_eq @ y) + float(form.lo @ zl) - float(form.hi @ zu)
         rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj))
         rel_pinf = max(
             float(np.abs(r_eq).max(initial=0.0)), float(np.abs(r_in).max(initial=0.0))
@@ -506,14 +596,18 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
             stall_count += 1
 
         if rel_gap <= _TARGET and rel_pinf <= _TARGET and rel_dinf <= _TARGET:
+            z_lower = np.zeros(lp.num_vars)
+            z_upper = np.zeros(lp.num_vars)
+            z_lower[lo_at] = zl
+            z_upper[hi_at] = zu
             return LpResult(
                 status="optimal",
                 x=z.copy(),
                 objective=float(lp.c @ z),
                 y_ineq=w.copy(),
                 y_eq=y.copy(),
-                z_lower=zl.copy(),
-                z_upper=zu.copy(),
+                z_lower=z_lower,
+                z_upper=z_upper,
                 gap=rel_gap,
                 iterations=iters,
                 message="converged",
@@ -522,100 +616,91 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
         if stall_count >= 12:
             break  # numerically stuck
 
-        # normal matrix plus slack scaling
-        dinv = 1.0 / (np.where(has_lo, zl / gl, 0.0) + np.where(has_hi, zu / gu, 0.0))
-        e_diag = np.concatenate([np.zeros(m_eq), s / w])
+        # normal matrix plus slack scaling: D = zl/gl + zu/gu per column
+        ratio = dv[bb] / pv[bb]
+        dinv = np.zeros(lp.num_vars)
+        dinv[lo_at] = ratio[:nl]
+        dinv[hi_at] += ratio[nl:]
+        dinv = 1.0 / dinv
+        e_diag[m_eq:] = s / w
         m_solve = _dense_normal_solver(a_hat, dinv, e_diag)
         if m_solve is None:
             break
+        # the divisors of the residuals in newton_core: w on the slack
+        # block, z - lo and hi - z on the bound blocks
+        pw = pv.copy()
+        pw[wb] = w
 
-        def newton_core(e_d, e_eq, e_in, r_ws, r_l, r_u):
-            q1 = -e_d - np.where(has_lo, r_l / gl, 0.0) + np.where(has_hi, r_u / gu, 0.0)
-            q_hat = np.concatenate([-e_eq, -e_in + r_ws / w])
-            dy_hat = m_solve(a_hat @ (dinv * q1) - q_hat)
+        def newton_core(e_d, e_eq, e_in, rr):
+            # rr holds the complementarity residuals on the blocks of pv
+            q = rr / pw
+            q1 = -e_d
+            q1[lo_at] -= q[lb]
+            q1[hi_at] += q[ub]
+            rhs = a_hat @ (dinv * q1)
+            rhs[:m_eq] += e_eq
+            rhs[m_eq:] -= q[wb] - e_in
+            dy_hat = m_solve(rhs)
             dz = dinv * (q1 - a_hat_t @ dy_hat)
-            dy = dy_hat[:m_eq]
-            dw = dy_hat[m_eq:]
-            ds = -e_in - a_ub @ dz
-            dzl = np.where(has_lo, (-r_l - zl * dz) / gl, 0.0)
-            dzu = np.where(has_hi, (-r_u + zu * dz) / gu, 0.0)
-            return dz, ds, dw, dy, dzl, dzu
+            dpv = np.empty(num_comp)
+            dpv[wb] = -e_in - a_ub @ dz
+            dpv[lb] = dz[lo_at]
+            dpv[ub] = -dz[hi_at]
+            # the duals in one pass; on the slack block the normal
+            # equations' dw takes the place of that formula
+            ddv = (-rr - dv * dpv) / pv
+            ddv[wb] = dy_hat[m_eq:]
+            return dz, dy_hat[:m_eq], dpv, ddv
 
-        def newton_step(r_ws, r_l, r_u):
+        def newton_step(rr):
             # the elimination loses digits once the scaling matrices span
             # many orders of magnitude; two rounds of iterative refinement
             # against the full linearized system restore the direction
-            dz, ds, dw, dy, dzl, dzu = newton_core(r_d, r_eq, r_in, r_ws, r_l, r_u)
+            dz, dy, dpv, ddv = newton_core(r_d, r_eq, r_in, rr)
             for _ in range(1 if mu > 1e-6 else 2):
-                e_d = r_d + (a_ub_t @ dw + a_eq_t @ dy - dzl + dzu)
+                e_d = a_ub_t @ ddv[wb] + a_eq_t @ dy
+                e_d[lo_at] -= ddv[lb]
+                e_d[hi_at] += ddv[ub]
+                e_d += r_d
                 e_eq = r_eq + a_eq @ dz
-                e_in = r_in + a_ub @ dz + ds
-                e_ws = r_ws + w * ds + s * dw
-                e_l = np.where(has_lo, r_l + zl * dz + gl * dzl, 0.0)
-                e_u = np.where(has_hi, r_u - zu * dz + gu * dzu, 0.0)
-                cz, cs, cw, cy, czl, czu = newton_core(e_d, e_eq, e_in, e_ws, e_l, e_u)
-                dz = dz + cz
-                ds = ds + cs
-                dw = dw + cw
-                dy = dy + cy
-                dzl = dzl + czl
-                dzu = dzu + czu
-            return dz, ds, dw, dy, dzl, dzu
-
-        def step_lengths(dz, ds, dw, dzl, dzu):
-            # one limit over every primal, and one over every dual, quantity
-            a_p = _step_limit(
-                np.concatenate([s, gl[has_lo], gu[has_hi]]), np.concatenate([ds, dz[has_lo], -dz[has_hi]])
-            )
-            a_d = _step_limit(
-                np.concatenate([w, zl[has_lo], zu[has_hi]]), np.concatenate([dw, dzl[has_lo], dzu[has_hi]])
-            )
-            return a_p, a_d
+                e_in = r_in + a_ub @ dz + dpv[wb]
+                e_c = rr + dv * dpv + pv * ddv
+                cz, cy, cpv, cdv = newton_core(e_d, e_eq, e_in, e_c)
+                dz += cz
+                dy += cy
+                dpv += cpv
+                ddv += cdv
+            return dz, dy, dpv, ddv
 
         # predictor
-        r_ws = w * s
-        r_l = np.where(has_lo, zl * gl, 0.0)
-        r_u = np.where(has_hi, zu * gu, 0.0)
-        dz_a, ds_a, dw_a, _, dzl_a, dzu_a = newton_step(r_ws, r_l, r_u)
-        a_p_aff, a_d_aff = step_lengths(dz_a, ds_a, dw_a, dzl_a, dzu_a)
-        a_p_aff, a_d_aff = min(1.0, a_p_aff), min(1.0, a_d_aff)
+        dz_a, _, dpv_a, ddv_a = newton_step(dv * pv)
+        a_p_aff = min(1.0, _step_limit(pv, dpv_a))
+        a_d_aff = min(1.0, _step_limit(dv, ddv_a))
 
+        pv_aff = pv + a_p_aff * dpv_a
+        dv_aff = dv + a_d_aff * ddv_a
         mu_aff = (
-            float((w + a_d_aff * dw_a) @ (s + a_p_aff * ds_a))
-            + float(
-                (zl + a_d_aff * dzl_a)[has_lo] @ (gl + a_p_aff * dz_a)[has_lo]
-            )
-            + float(
-                (zu + a_d_aff * dzu_a)[has_hi] @ (gu - a_p_aff * dz_a)[has_hi]
-            )
+            float(dv_aff[wb] @ pv_aff[wb]) + float(dv_aff[lb] @ pv_aff[lb]) + float(dv_aff[ub] @ pv_aff[ub])
         ) / max(num_comp, 1)
         sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3)) if mu > 0 else 0.1
 
         # corrector
-        r_ws = w * s + dw_a * ds_a - sigma * mu
-        r_l = np.where(has_lo, zl * gl + dzl_a * dz_a - sigma * mu, 0.0)
-        r_u = np.where(has_hi, zu * gu + dzu_a * (-dz_a) - sigma * mu, 0.0)
-        dz, ds, dw, dy, dzl, dzu = newton_step(r_ws, r_l, r_u)
-        a_p, a_d = step_lengths(dz, ds, dw, dzl, dzu)
+        dz, dy, dpv, ddv = newton_step(dv * pv + ddv_a * dpv_a - sigma * mu)
+        a_p, a_d = _step_limit(pv, dpv), _step_limit(dv, ddv)
         if min(a_p, a_d) < 0.2 * min(a_p_aff, a_d_aff):
             # the second-order terms can strangle the step on degenerate
             # problems; retreat to a plainly centered direction
-            r_ws = w * s - sigma * mu
-            r_l = np.where(has_lo, zl * gl - sigma * mu, 0.0)
-            r_u = np.where(has_hi, zu * gu - sigma * mu, 0.0)
-            dz, ds, dw, dy, dzl, dzu = newton_step(r_ws, r_l, r_u)
-            a_p, a_d = step_lengths(dz, ds, dw, dzl, dzu)
+            dz, dy, dpv, ddv = newton_step(dv * pv - sigma * mu)
+            a_p, a_d = _step_limit(pv, dpv), _step_limit(dv, ddv)
         a_p = min(1.0, eta * a_p)
         a_d = min(1.0, eta * a_d)
         if a_p < 1e-12 and a_d < 1e-12:
             break
 
         z += a_p * dz
-        s += a_p * ds
-        w += a_d * dw
+        s += a_p * dpv[wb]
+        dv += a_d * ddv
         y += a_d * dy
-        zl += a_d * dzl
-        zu += a_d * dzu
         iters += 1
 
     # stalled, collapsed step, failed factor or iteration cap: the simplex

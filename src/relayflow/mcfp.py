@@ -15,6 +15,7 @@ duals are exactly the shadow prices the ascent direction needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
@@ -94,7 +95,7 @@ def build_instance(scenario: Scenario, weights) -> McfpInstance:
     return McfpInstance(c, scenario.commodities, w, scenario.relay_indices())
 
 
-@dataclass
+@dataclass(frozen=True)
 class McfpIndexMap:
     """Column and row layout of the flow LP, as index arrays.
 
@@ -165,11 +166,31 @@ def _net_outflow(index: McfpIndexMap, nodes: np.ndarray, ks: np.ndarray):
 
 
 def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
-    """Emit the flow LP in standard form, in the layout :class:`McfpIndexMap` states."""
-    n, num_k = inst.num_agents, inst.num_commodities
+    """Emit the flow LP in standard form, in the layout :class:`McfpIndexMap` states.
+
+    The layout (constraint matrices, bounds, index map and the dense
+    arrays of the interior point) depends only on the number of agents,
+    the commodities and the relay set, so it is built once per layout
+    and shared, read-only, by every LP of that layout.  Each call makes
+    a fresh objective (the weights) and capacity right-hand side.
+    """
+    template, index = _layout(inst.num_agents, inst.commodities, inst.relay_set)
+    c_obj = np.zeros(template.num_vars)
+    c_obj[index.t_col0 :] = inst.weights
+    b_ub = np.zeros(template.num_ineq)
+    b_ub[index.cap_row0 :] = inst.capacities[index.pair_i, index.pair_j]
+    return template.with_data(c_obj, b_ub), index
+
+
+# layouts kept for re-solving: an ascent or a mission re-solves one layout
+# (the positive-weight commodities of one team) at every step or tick
+@functools.lru_cache(maxsize=8)
+def _layout(n: int, commodities: tuple, relay_set: tuple) -> tuple[StandardFormLP, McfpIndexMap]:
+    """The frozen flow LP of a layout, with zero objective and capacities."""
+    num_k = len(commodities)
     pair_i, pair_j = np.nonzero(~np.eye(n, dtype=bool))
-    src_k, src_i = _source_entries(inst.commodities)
-    relays = np.asarray(inst.relay_set, dtype=int)
+    src_k, src_i = _source_entries(commodities)
+    relays = np.asarray(relay_set, dtype=int)
     index = McfpIndexMap(n, num_k, pair_i, pair_j, src_k, src_i, relays)
     num_s, num_p = src_k.size, pair_i.size
     num_vars = index.t_col0 + num_k
@@ -183,7 +204,6 @@ def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(index.cap_row0 + num_p, num_vars),
     )
-    b_ub = np.concatenate([np.zeros(index.cap_row0), inst.capacities[pair_i, pair_j]])
 
     num_eq = num_k * relays.size
     m, flow_cols, flow_vals = _net_outflow(
@@ -191,16 +211,18 @@ def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
     )
     a_eq = sp.csr_matrix((flow_vals, (m, flow_cols)), shape=(num_eq, num_vars))
 
-    c_obj = np.zeros(num_vars)
-    c_obj[index.t_col0 :] = inst.weights
-
     lo = np.zeros(num_vars)
     hi = np.ones(num_vars)
     hi[index.a_col0 :] = np.inf
     lo[index.t_col0 :] = _EPIGRAPH_FLOOR
 
-    lp = StandardFormLP(c=c_obj, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(num_eq), lo=lo, hi=hi)
-    return lp, index
+    lp = StandardFormLP(
+        c=np.zeros(num_vars), a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), a_eq=a_eq,
+        b_eq=np.zeros(num_eq), lo=lo, hi=hi,
+    )
+    for arr in (pair_i, pair_j, src_k, src_i, relays):
+        arr.flags.writeable = False
+    return lp.freeze(), index
 
 
 @dataclass

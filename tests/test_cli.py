@@ -108,7 +108,7 @@ def test_ascend_rejects_a_step_or_tolerance_that_is_not_finite(tmp_path, pair_fi
     rc = main(["ascend", "--scenario", str(pair_file), f"{option}={value}", "--out", str(out)])
     assert rc == EXIT_INPUT
     assert "must be finite and positive" in capsys.readouterr().err
-    assert not (out / "trace.csv").exists()
+    assert not out.exists()
 
 
 def test_ascend_quick_exit_with_huge_tolerance(tmp_path, pair_file):
@@ -157,6 +157,7 @@ def test_simulate_rejects_negative_pin_task(tmp_path):
         "--pin-task", "-1", "--no-pre-optimize", "--out", str(tmp_path / "sim"),
     ])
     assert rc == EXIT_INPUT
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize(
@@ -172,7 +173,7 @@ def test_simulate_rejects_motion_values_that_are_not_finite(tmp_path, pair_file,
     ])
     assert rc == EXIT_INPUT
     assert "must be finite" in capsys.readouterr().err
-    assert not (out / "timeline.csv").exists()
+    assert not out.exists()
 
 
 def test_bench_csv_format(tmp_path):

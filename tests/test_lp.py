@@ -279,6 +279,48 @@ def boxed_lp(rng, n, m_in):
     return StandardFormLP(c=rng.normal(size=n), a_ub=a, b_ub=b, lo=np.zeros(n), hi=np.full(n, 2.0))
 
 
+def scattered_bounds_lp(rng, n=14, m_in=7, m_eq=2):
+    """A feasible, bounded LP whose lower- and upper-bounded columns form
+    non-contiguous masks; about a third of the columns have only an upper
+    bound and a third only a lower one.  The objective pulls each one-sided
+    column toward its bound, so the LP is bounded whatever the rows."""
+    kind = rng.permutation(np.arange(n) % 3)  # 0 boxed, 1 lower only, 2 upper only
+    lo = np.where(kind == 2, -np.inf, rng.uniform(-1.0, 0.0, n))
+    hi = np.where(kind == 1, np.inf, rng.uniform(1.0, 2.0, n))
+    z0 = np.where(kind == 0, 0.5 * (lo + hi), 0.0)
+    z0 = np.where(kind == 1, lo + rng.uniform(0.1, 2.0, n), z0)
+    z0 = np.where(kind == 2, hi - rng.uniform(0.1, 2.0, n), z0)
+    c = rng.normal(size=n)
+    c = np.where(kind == 1, -np.abs(c), np.where(kind == 2, np.abs(c), c))
+    a = rng.normal(size=(m_in, n))
+    g = rng.normal(size=(m_eq, n))
+    b = a @ z0 + rng.uniform(0.1, 1.0, m_in)
+    return StandardFormLP(c=c, a_ub=a, b_ub=b, a_eq=g, b_eq=g @ z0, lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_interior_point_converges_with_scattered_and_upper_only_bounds(seed, monkeypatch):
+    # such masks take the index-array path of the stacked complementarity
+    # pairs (contiguous ones, as in every flow LP, take slices)
+    lp = scattered_bounds_lp(np.random.default_rng(300 + seed))
+    form = lp_module._dense_form(lp)
+    assert isinstance(form.lo_at, np.ndarray) and isinstance(form.hi_at, np.ndarray)
+    assert (np.isinf(lp.lo) & np.isfinite(lp.hi)).any()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the interior point handed the LP on")
+
+    ref = scipy_linprog_solve(lp)
+    assert ref.optimal
+    monkeypatch.setattr(simplex_module, "solve_simplex", forbidden)
+    monkeypatch.setattr(lp_module, "_highs", forbidden)
+    res = solve_interior_point(lp)
+    assert res.message == "converged"
+    assert abs(res.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+    assert check_kkt(lp, res).passed(1e-6)
+    assert not res.z_lower[np.isinf(lp.lo)].any() and not res.z_upper[np.isinf(lp.hi)].any()
+
+
 class FakeBlas:
     """A BLAS thread control that records every count it is set to."""
 

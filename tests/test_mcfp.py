@@ -22,6 +22,7 @@ from relayflow import (
     weight_preset,
 )
 from relayflow import lp as lp_module
+from relayflow import mcfp as mcfp_module
 from relayflow.simplex import solve_simplex
 
 E1 = np.exp(-1.0)
@@ -398,6 +399,7 @@ def test_sparse_path_solve_of_a_spawned_team(model):
     inst = build_instance(scenario, weight_preset("adhoc", 10))
     sol = solve_mcfp(inst)
     assert sol.lp.num_vars * (sol.lp.num_ineq + sol.lp.num_eq) > lp_module._DENSE_MAX_ENTRIES
+    assert sol.lp._dense is None  # its cached layout holds no dense arrays
     assert verify_solution(inst, sol).passed
     ref = solve_mcfp(inst, SolverOptions(engine=scipy_linprog_solve))
     assert abs(sol.phi - ref.phi) <= 1e-6 * (1.0 + abs(ref.phi))
@@ -495,3 +497,89 @@ def test_instance_symmetry_tolerance(c01, c10, symmetric):
     else:
         with pytest.raises(ValueError, match="symmetric"):
             McfpInstance(caps, default_commodities(2), [1, 1], ())
+
+
+def mobile_layout_pair(model):
+    """Two instances of the mobile team's layout (5 tasks, 2 relays, ap:0
+    weights): other relay positions, hence other capacities, and other
+    positive weights on the same commodities."""
+    scenario = spawn_scenario(ScenarioConfig(num_task=5, num_relay=2, rng_seed=21), model)
+    weights = weight_preset("ap:0", 5)
+    moved = scenario.with_relay_positions(scenario.relay_positions + [[0.3, -0.2], [-0.1, 0.4]])
+    first = build_instance(scenario, weights)
+    second = build_instance(moved, np.where(weights > 0, weights * np.linspace(0.5, 2.0, 5), 0.0))
+    assert not np.array_equal(first.capacities, second.capacities)
+    assert not np.array_equal(first.weights, second.weights)
+    return first, second
+
+
+def assert_identical_results(got, want):
+    assert (got.status, got.message, got.iterations) == (want.status, want.message, want.iterations)
+    assert repr(got.objective) == repr(want.objective) and repr(got.gap) == repr(want.gap)
+    for name in ("x", "y_ineq", "y_eq", "z_lower", "z_upper"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_cached_layout_solves_match_cold_builds_bit_for_bit(model):
+    first, second = mobile_layout_pair(model)
+    cold = []
+    for inst in (first, second):
+        mcfp_module._layout.cache_clear()
+        cold.append(solve_mcfp(inst).lp_result)
+    # alternating through one cached layout
+    for _ in range(2):
+        for inst, want in zip((first, second), cold):
+            assert_identical_results(solve_mcfp(inst).lp_result, want)
+
+
+def test_a_later_solve_leaves_an_earlier_lp_unchanged(model):
+    first, second = mobile_layout_pair(model)
+    sol_a = solve_mcfp(first)
+    c_a, b_a = sol_a.lp.c.copy(), sol_a.lp.b_ub.copy()
+    sol_b = solve_mcfp(second)
+    assert sol_b.lp.a_ub is sol_a.lp.a_ub  # one layout
+    np.testing.assert_array_equal(sol_a.lp.c, c_a)
+    np.testing.assert_array_equal(sol_a.lp.b_ub, b_a)
+    assert not np.array_equal(sol_b.lp.c, c_a)
+    assert not np.array_equal(sol_b.lp.b_ub, b_a)
+    assert verify_solution(first, sol_a).passed
+
+
+def test_shared_layout_arrays_reject_writes(model):
+    lp, index = build_lp(mobile_layout_pair(model)[0])
+    dense = [arr for arr in lp._dense if isinstance(arr, np.ndarray)]
+    assert len(dense) >= 6  # a_ub, a_eq, a_hat, the finite bounds and the start
+    shared = [lp.lo, lp.hi, lp.b_eq, lp.a_ub.data, lp.a_ub.indices, lp.a_ub.indptr, lp.a_eq.data]
+    shared += [index.pair_i, index.pair_j, index.src_k, index.src_i, index.relays, *dense]
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    # each LP gets its own objective and capacity right-hand side
+    assert lp.c.flags.writeable and lp.b_ub.flags.writeable
+
+
+def test_replaced_bounds_are_not_solved_on_the_cached_layout(model):
+    lp, _ = build_lp(mobile_layout_pair(model)[0])
+    lp.hi = np.minimum(lp.hi, 0.05)  # tighter than the optimal flows
+    res = lp_module.solve(lp)
+    ref = scipy_linprog_solve(lp)
+    assert res.optimal and ref.optimal
+    assert abs(res.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+    assert lp_module.check_kkt(lp, res).passed(1e-6)
+    # the cached layout itself keeps its bounds
+    assert build_lp(mobile_layout_pair(model)[0])[0].hi.max() == np.inf
+
+
+def test_relay_and_commodity_sets_get_their_own_layouts(bridge_scenario):
+    inst = build_instance(bridge_scenario, [1.0, 2.0])
+    lp, index = build_lp(inst)
+    same_lp, same_index = build_lp(inst.with_capacities(0.5 * inst.capacities))
+    assert same_lp.a_ub is lp.a_ub and same_index is index
+    no_relay = McfpInstance(inst.capacities, inst.commodities, inst.weights, ())
+    one_commodity = McfpInstance(inst.capacities, inst.commodities[:1], inst.weights[:1], inst.relay_set)
+    for other in (no_relay, one_commodity):
+        other_lp, other_index = build_lp(other)
+        assert other_lp.a_ub is not lp.a_ub and other_index is not index
+        assert other_lp.num_eq == other.num_commodities * len(other.relay_set)
+        assert solve_mcfp(other).phi == pytest.approx(oracle_phi(other), abs=1e-7)
+    assert solve_mcfp(inst).phi == pytest.approx(oracle_phi(inst), abs=1e-7)
