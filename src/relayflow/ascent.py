@@ -209,53 +209,41 @@ def ascend(
     cached_sol: Optional[FlowSolution] = None
 
     while abs(delta_phi) >= cfg.tol and len(records) < cfg.max_iters:
+        iteration = len(records)
         current = scenario.with_relay_positions(relay_pos)
         try:
             sol = cached_sol if cached_sol is not None else solve_mcfp(
                 build_instance(current, w), opts
             )
-        except McfpSolveError as exc:
-            trace = AscentTrace(records, relay_pos.copy(), converged=False)
-            raise AscentError(f"solve failed at iteration {len(records)}: {exc}", trace) from exc
-        cached_sol = None
-
-        direction = gradient_from_duals(sol, current)
-        records.append(
-            AscentRecord(
-                iteration=len(records),
-                phi=sol.phi,
-                relay_positions=relay_pos.copy(),
-                gradient=direction.copy(),
-                alpha=alpha,
+            cached_sol = None
+            direction = gradient_from_duals(sol, current)
+            records.append(
+                AscentRecord(
+                    iteration=iteration,
+                    phi=sol.phi,
+                    relay_positions=relay_pos.copy(),
+                    gradient=direction.copy(),
+                    alpha=alpha,
+                )
             )
-        )
-
-        if cfg.backtracking:
-            step = alpha
-            accepted = False
-            for _ in range(_MAX_HALVINGS + 1):
-                candidate = relay_pos + step * direction
-                try:
+            if cfg.backtracking:
+                step = alpha
+                for _ in range(_MAX_HALVINGS + 1):
+                    candidate = relay_pos + step * direction
                     trial_sol = solve_mcfp(
                         build_instance(scenario.with_relay_positions(candidate), w), opts
                     )
-                except McfpSolveError as exc:
-                    trace = AscentTrace(records, relay_pos.copy(), converged=False)
-                    raise AscentError(
-                        f"solve failed during backtracking at iteration {len(records) - 1}: {exc}",
-                        trace,
-                    ) from exc
-                if trial_sol.phi >= sol.phi:
-                    relay_pos = candidate
-                    cached_sol = trial_sol
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                # no improving step found: stay put, the loop will stop
-                cached_sol = sol
-        else:
-            relay_pos = relay_pos + alpha * direction
+                    if trial_sol.phi >= sol.phi:
+                        relay_pos, cached_sol = candidate, trial_sol
+                        break
+                    step *= 0.5
+                else:  # no improving step found: stay put, the loop will stop
+                    cached_sol = sol
+            else:
+                relay_pos = relay_pos + alpha * direction
+        except McfpSolveError as exc:
+            trace = AscentTrace(records, relay_pos.copy(), converged=False)
+            raise AscentError(f"solve failed at iteration {iteration}: {exc}", trace) from exc
 
         delta_phi = sol.phi - phi_prev
         phi_prev = sol.phi

@@ -7,8 +7,9 @@ sizes), ``gradcheck`` (dual gradient vs finite differences).  Every
 command writes a ``manifest.json`` capturing the configuration, seeds
 and timings needed to replay the run.
 
-Exit codes: 0 success, 2 input error, 3 solver failure, 4 verification
-failure, 5 gradient check failure.
+Exit codes, the same for every command: 0 success, 2 input error, 3
+solver failure, 4 verification failure, 5 gradient check failure.
+Commands raise their failures; :func:`main` maps each to its code.
 """
 
 from __future__ import annotations
@@ -104,22 +105,15 @@ def _load_inputs(args):
 
 
 def cmd_spawn(args) -> int:
-    if args.preset is not None:
-        if args.preset in _LAYOUTS:
-            tasks, relays = _LAYOUTS[args.preset]
-            scenario = Scenario(
-                tasks, relays, CapacityModel(), default_commodities(len(tasks))
-            )
-        elif args.preset in _SPAWNED_PRESETS:
-            num_task, num_relay = _SPAWNED_PRESETS[args.preset]
-            cfg = ScenarioConfig(num_task, num_relay, args.density, args.seed)
-            scenario = spawn_scenario(cfg)
-        else:
-            print(f"unknown preset {args.preset!r}", file=sys.stderr)
-            return EXIT_INPUT
+    if args.preset in _LAYOUTS:
+        tasks, relays = _LAYOUTS[args.preset]
+        scenario = Scenario(tasks, relays, CapacityModel(), default_commodities(len(tasks)))
+    elif args.preset is not None and args.preset not in _SPAWNED_PRESETS:
+        raise ValueError(f"unknown preset {args.preset!r}")
     else:
-        cfg = ScenarioConfig(args.num_task, args.num_relay, args.density, args.seed)
-        scenario = spawn_scenario(cfg)
+        default = (args.num_task, args.num_relay)
+        num_task, num_relay = _SPAWNED_PRESETS.get(args.preset, default)
+        scenario = spawn_scenario(ScenarioConfig(num_task, num_relay, args.density, args.seed))
     weights = weight_preset(args.weights or "adhoc", len(scenario.commodities))
     out = _out_dir(args)
     path = out / "scenario.json"
@@ -133,13 +127,7 @@ def cmd_solve(args) -> int:
     scenario, weights = _load_inputs(args)
     inst = build_instance(scenario, weights)
     t0 = time.perf_counter()
-    try:
-        sol = solve_mcfp(inst)
-    except McfpSolveError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        # the engine produced output that failed verification, as opposed
-        # to not producing output at all
-        return EXIT_VERIFY if exc.report is not None else EXIT_SOLVER
+    sol = solve_mcfp(inst)
     solve_s = time.perf_counter() - t0
     report = verify_solution(inst, sol)
 
@@ -163,7 +151,7 @@ def cmd_solve(args) -> int:
         {"solution": str(sol_path), "report": str(out / "report.txt")},
         {"solve": solve_s},
     )
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return EXIT_OK
 
 
 def cmd_ascend(args) -> int:
@@ -178,11 +166,9 @@ def cmd_ascend(args) -> int:
     t0 = time.perf_counter()
     try:
         trace = ascend(scenario, weights, cfg)
-        failed = False
-    except AscentError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        trace = exc.partial_trace
-        failed = True
+        failure = None
+    except AscentError as exc:  # written below; main reports the failure
+        trace, failure = exc.partial_trace, exc
     run_s = time.perf_counter() - t0
 
     out = _out_dir(args)
@@ -208,7 +194,9 @@ def cmd_ascend(args) -> int:
             f"{trace.final_phi:.6f}  converged: {trace.converged}"
         )
     _write_manifest(out, "ascend", args, outputs, {"run": run_s})
-    return EXIT_SOLVER if failed else EXIT_OK
+    if failure is not None:
+        raise failure
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -225,11 +213,9 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     try:
         timeline = run_simulation(scenario, weights, cfg, pre_optimize=not args.no_pre_optimize)
-        failed = False
-    except (SimulationError, AscentError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        timeline = getattr(exc, "partial_timeline", None)
-        failed = True
+        failure = None
+    except (SimulationError, AscentError) as exc:  # written below; main reports the failure
+        timeline, failure = getattr(exc, "partial_timeline", None), exc
     run_s = time.perf_counter() - t0
 
     out = _out_dir(args)
@@ -252,18 +238,18 @@ def cmd_simulate(args) -> int:
             outputs["svg"] = str(out / "utility.svg")
         print(f"snapshots: {timeline.num_snapshots}  final utility: {timeline.states[-1].phi:.6f}")
     _write_manifest(out, "simulate", args, outputs, {"run": run_s})
-    return EXIT_SOLVER if failed else EXIT_OK
+    if failure is not None:
+        raise failure
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     except ValueError:
-        print(f"cannot parse sizes {args.sizes!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"cannot parse sizes {args.sizes!r}") from None
     if not sizes or args.repeats < 1:
-        print("need at least one size and one repeat", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("need at least one size and one repeat")
 
     rows = []
     for num_task in sizes:
@@ -275,11 +261,7 @@ def cmd_bench(args) -> int:
             weights = np.ones(len(scenario.commodities))
             inst = build_instance(scenario, weights)
             t0 = time.perf_counter()
-            try:
-                solve_mcfp(inst)
-            except McfpSolveError as exc:
-                print(f"solver failure at size {num_task}: {exc}", file=sys.stderr)
-                return EXIT_SOLVER
+            solve_mcfp(inst)
             samples.append(time.perf_counter() - t0)
         samples = np.asarray(samples)
         mean_s = float(samples.mean())
@@ -309,37 +291,30 @@ def _stable_solution(scenario, weights):
 
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
-        print("need at least one trial", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("need at least one trial")
     for flag, value in (("--h", args.h), ("--threshold", args.threshold)):
         if not (np.isfinite(value) and value > 0):
-            print(f"{flag} must be finite and positive, got {value!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{flag} must be finite and positive, got {value!r}")
     scenario, weights = _load_inputs(args)
     if scenario.num_relay == 0:
-        print("scenario has no relay agents to differentiate", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("scenario has no relay agents to differentiate")
 
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     skipped = 0
     checked = 0
-    try:
-        for _ in range(args.trials):
-            offset = rng.normal(0.0, 0.15, scenario.relay_positions.shape)
-            candidate = scenario.with_relay_positions(scenario.relay_positions + offset)
-            sol = _stable_solution(candidate, weights)
-            if sol is None:
-                skipped += 1
-                continue
-            g_dual = gradient_from_duals(sol, candidate)
-            g_fd = finite_difference_phi(candidate, weights, h=args.h)
-            denom = max(float(np.max(np.abs(g_fd))), 1e-12)
-            worst = max(worst, float(np.max(np.abs(g_dual - g_fd))) / denom)
-            checked += 1
-    except McfpSolveError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    for _ in range(args.trials):
+        offset = rng.normal(0.0, 0.15, scenario.relay_positions.shape)
+        candidate = scenario.with_relay_positions(scenario.relay_positions + offset)
+        sol = _stable_solution(candidate, weights)
+        if sol is None:
+            skipped += 1
+            continue
+        g_dual = gradient_from_duals(sol, candidate)
+        g_fd = finite_difference_phi(candidate, weights, h=args.h)
+        denom = max(float(np.max(np.abs(g_fd))), 1e-12)
+        worst = max(worst, float(np.max(np.abs(g_dual - g_fd))) / denom)
+        checked += 1
 
     lines = [
         f"configurations checked: {checked}",
@@ -426,6 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solver_failure_code(exc: Exception) -> int:
+    """4 when the engine returned a point that failed verification, 3 when it
+    reached no optimum; an ascent or a simulation failure carries the
+    flow-solve failure as its cause."""
+    solve_error = exc if isinstance(exc, McfpSolveError) else exc.__cause__
+    return EXIT_VERIFY if getattr(solve_error, "report", None) is not None else EXIT_SOLVER
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -437,6 +420,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # includes ScenarioFormatError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (McfpSolveError, AscentError, SimulationError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return _solver_failure_code(exc)
 
 
 if __name__ == "__main__":

@@ -375,8 +375,6 @@ def _cho_factor_jittered(mat: np.ndarray):
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with a factor from :func:`_cho_factor_jittered`; ``rhs`` is
     left unchanged."""
-    if rhs.shape[0] == 0:  # potrs rejects an empty system
-        return rhs.copy()
     sol, info = _potrs(factor, rhs, lower=1, overwrite_b=0)
     if info != 0:
         raise ValueError(f"LAPACK potrs rejected its argument {-info}")
@@ -544,7 +542,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
     # only by exact rearrangements (x - (-y) as x + y, no + 0.0 on a
     # column without that bound), so the iterates match to the last bit.
     nl = form.lo.size
-    num_comp = m_in + nl + form.hi.size
+    num_comp = m_in + nl + form.hi.size  # positive: every column has a finite bound
     wb = slice(0, m_in)
     lb = slice(m_in, m_in + nl)
     ub = slice(m_in + nl, num_comp)
@@ -578,7 +576,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
         r_eq = a_eq @ z - b_eq
         r_in = a_ub @ z + s - b_ub
 
-        mu = (float(w @ s) + float(zl @ gl) + float(zu @ gu)) / max(num_comp, 1)
+        mu = (float(w @ s) + float(zl @ gl) + float(zu @ gu)) / num_comp
 
         p_obj = float(f @ z)
         d_obj = -float(b_ub @ w) - float(b_eq @ y) + float(form.lo @ zl) - float(form.hi @ zu)
@@ -681,7 +679,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
         dv_aff = dv + a_d_aff * ddv_a
         mu_aff = (
             float(dv_aff[wb] @ pv_aff[wb]) + float(dv_aff[lb] @ pv_aff[lb]) + float(dv_aff[ub] @ pv_aff[ub])
-        ) / max(num_comp, 1)
+        ) / num_comp
         sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3)) if mu > 0 else 0.1
 
         # corrector

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from relayflow import (
     AscentConfig,
     AscentError,
+    McfpSolveError,
     Scenario,
     ScenarioConfig,
     SolverOptions,
@@ -18,6 +20,7 @@ from relayflow import (
     spawn_scenario,
     team_utility,
 )
+from relayflow import ascent as ascent_module
 
 
 def test_zero_duals_give_zero_direction(pair_scenario):
@@ -209,6 +212,54 @@ def test_solver_failure_carries_partial_trace(pair_scenario):
     assert trace is not None
     assert trace.iterations == 3
     assert not trace.converged
+
+
+def test_solver_failure_while_backtracking_carries_partial_trace(pair_scenario):
+    calls = {"n": 0}
+
+    def flaky_engine(lp, opts):
+        from relayflow.lp import solve_interior_point
+
+        calls["n"] += 1
+        result = solve_interior_point(lp, opts)
+        if calls["n"] > 2:
+            result.status = "numerical"
+            result.message = "injected failure"
+        return result
+
+    # solve 1 is iteration 0, solve 2 its accepted first trial (reused by
+    # iteration 1), and solve 3 the first trial of iteration 1
+    cfg = AscentConfig(backtracking=True)
+    with pytest.raises(AscentError, match="at iteration 1: ") as excinfo:
+        ascend(pair_scenario, np.ones(2), cfg, opts=SolverOptions(engine=flaky_engine))
+    assert calls["n"] == 3
+    assert isinstance(excinfo.value.__cause__, McfpSolveError)
+    trace = excinfo.value.partial_trace
+    assert trace.iterations == 2
+    assert not trace.converged
+    # the relays stay where the failed iteration was evaluated
+    np.testing.assert_array_equal(trace.final_relay_positions, trace.records[1].relay_positions)
+
+
+def test_backtracking_without_an_improving_step_stays_put_and_stops(monkeypatch, pair_scenario):
+    calls = {"n": 0}
+
+    def worse_after_the_first(inst, opts=None):
+        # every trial step lowers the utility
+        calls["n"] += 1
+        sol = solve_mcfp(inst, opts)
+        return sol if calls["n"] == 1 else dataclasses.replace(sol, phi=sol.phi - 1.0)
+
+    monkeypatch.setattr(ascent_module, "solve_mcfp", worse_after_the_first)
+    trace = ascend(pair_scenario, np.ones(2), AscentConfig(backtracking=True))
+    # each iteration tries the step and its 20 halvings; iteration 1
+    # reuses the first solve, whose utility repeats, so the loop stops
+    assert calls["n"] == 1 + 2 * 21
+    assert trace.iterations == 2
+    assert trace.converged
+    assert trace.records[0].phi == trace.records[1].phi
+    for positions in (trace.records[1].relay_positions, trace.final_relay_positions):
+        np.testing.assert_array_equal(positions, pair_scenario.relay_positions)
 
 
 def test_finite_difference_rejects_bad_step(pair_scenario):

@@ -1,9 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from relayflow import Scenario, default_commodities, save_scenario
+from relayflow import (
+    CapacityModel,
+    Scenario,
+    ScenarioConfig,
+    default_commodities,
+    load_scenario,
+    save_scenario,
+    spawn_scenario,
+)
+from relayflow import mcfp as mcfp_module
 from relayflow.cli import (
     EXIT_GRADCHECK,
     EXIT_INPUT,
@@ -48,6 +58,18 @@ def test_spawn_writes_scenario_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "spawn"
     assert manifest["version"]
+
+
+def test_spawn_team5x4_preset_spawns_five_tasks_and_four_relays(tmp_path):
+    out = tmp_path / "team"
+    rc = main(["spawn", "--preset", "team5x4", "--seed", "3", "--density", "2", "--out", str(out)])
+    assert rc == EXIT_OK
+    scenario, weights = load_scenario(out / "scenario.json")
+    # the preset fixes the team size and keeps --seed and --density
+    expected = spawn_scenario(ScenarioConfig(5, 4, 2.0, 3))
+    np.testing.assert_array_equal(scenario.task_positions, expected.task_positions)
+    np.testing.assert_array_equal(scenario.relay_positions, expected.relay_positions)
+    np.testing.assert_array_equal(weights, np.ones(5))
 
 
 def test_spawn_unknown_preset(tmp_path):
@@ -221,6 +243,25 @@ def test_gradcheck_failure_exit_code(tmp_path):
     assert rc != EXIT_INPUT
 
 
+def test_gradcheck_skips_a_configuration_whose_prices_move_under_a_nudge(tmp_path, capsys):
+    # the first trial's offset lands the relay on the bisector of the pair,
+    # where both links of each relay path have the same capacity: the
+    # price splits between them there, and a 1e-7 km nudge tips it to one
+    offset = np.random.default_rng(0).normal(0.0, 0.15, (1, 2))
+    relays = np.array([[0.0, 0.4]]) - offset
+    scenario = Scenario(
+        np.array([[-1.0, 0.0], [1.0, 0.0]]), relays, CapacityModel(), default_commodities(2)
+    )
+    path = tmp_path / "bisector.json"
+    save_scenario(path, scenario, [1.0, 1.0])
+    out = tmp_path / "gc"
+    rc = main(["gradcheck", "--scenario", str(path), "--trials", "2", "--seed", "0", "--out", str(out)])
+    assert rc == EXIT_OK
+    report = (out / "gradcheck.txt").read_text()
+    assert "configurations checked: 1" in report
+    assert "configurations skipped as degenerate: 1" in report
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_gradcheck_rejects_nonpositive_trials(tmp_path, pair_file, trials):
     out = tmp_path / "gc0"
@@ -256,3 +297,72 @@ def test_usage_error_returns_two(tmp_path, pair_file):
     out = tmp_path / "o"
     assert main(["solve", "--scenario", str(pair_file), "--gap-tol", "1e-8", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.fixture()
+def team_file(tmp_path):
+    # inside its navigation box, so simulate takes it as well
+    out = tmp_path / "team"
+    assert main(["spawn", "--num-task", "3", "--num-relay", "1", "--seed", "2", "--out", str(out)]) == EXIT_OK
+    return out / "scenario.json"
+
+
+def inject_solve_failures(monkeypatch, failure, healthy):
+    """Let ``healthy`` flow solves through, then fail every later one: with a
+    verification report that does not pass, or with an LP result that is not
+    optimal."""
+    calls = []
+    if failure == "verification":
+        real_verify = mcfp_module.verify_solution
+
+        def verify(inst, sol):
+            calls.append(inst)
+            report = real_verify(inst, sol)
+            return report if len(calls) <= healthy else dataclasses.replace(report, primal_residual=1.0)
+
+        monkeypatch.setattr(mcfp_module, "verify_solution", verify)
+    else:
+        real_solve = mcfp_module.solve
+
+        def solve(lp, opts=None):
+            calls.append(lp)
+            result = real_solve(lp, opts)
+            if len(calls) <= healthy:
+                return result
+            return dataclasses.replace(result, status="numerical", message="injected failure")
+
+        monkeypatch.setattr(mcfp_module, "solve", solve)
+
+
+# command line, healthy solves before the failure, file the partial run leaves
+FAILING_COMMANDS = {
+    "solve": ([], 0, None),
+    "bench": (["--sizes", "2", "--repeats", "1"], 0, None),
+    "gradcheck": (["--trials", "1"], 0, None),
+    "ascend": ([], 2, "trace.csv"),
+    "simulate": (["--duration", "1.0", "--no-pre-optimize"], 2, "timeline.csv"),
+    # the pre-optimizing ascent fails, before any snapshot
+    "simulate-pre-optimize": (["--duration", "1.0"], 2, None),
+}
+
+
+@pytest.mark.parametrize("failure, code", [("verification", EXIT_VERIFY), ("lp-status", EXIT_SOLVER)])
+@pytest.mark.parametrize("case", list(FAILING_COMMANDS))
+def test_every_command_exits_with_the_code_of_its_failed_solve(
+    tmp_path, team_file, monkeypatch, capsys, case, failure, code
+):
+    command = case.split("-")[0]
+    extra, healthy, partial = FAILING_COMMANDS[case]
+    scenario = [] if command == "bench" else ["--scenario", str(team_file)]
+    out = tmp_path / "o"
+    inject_solve_failures(monkeypatch, failure, healthy)
+    assert main([command, *scenario, *extra, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "solver failure:" in err
+    if command in ("ascend", "simulate"):
+        assert json.loads((out / "manifest.json").read_text())["command"] == command
+    if partial is not None:
+        rows = (out / partial).read_text().strip().splitlines()
+        assert len(rows) == 1 + healthy
+    if case == "ascend":
+        assert "at iteration 2: " in err

@@ -466,7 +466,7 @@ def test_solution_does_not_depend_on_the_blas_controls(monkeypatch):
         )
 
 
-def solve_dense_and_sparse(lp, monkeypatch):
+def solve_default_and_by_highs(lp, monkeypatch):
     dense = solve_interior_point(lp)
     with monkeypatch.context() as patch:
         # a threshold of 1 sends every LP with rows to HiGHS's interior point
@@ -501,7 +501,7 @@ def test_sparse_path_matches_dense_path_on_boxed_lps(seed, monkeypatch):
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(10, 40))
     for lp in (boxed_lp(rng, n, int(rng.integers(2, 25))), sparse_boxed_lp(rng, n, n // 2, n // 5)):
-        dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+        dense, sparse = solve_default_and_by_highs(lp, monkeypatch)
         assert dense.optimal and sparse.optimal
         assert sparse.objective == pytest.approx(dense.objective, abs=1e-8)
         assert check_kkt(lp, sparse).passed(1e-6)
@@ -523,9 +523,9 @@ def linprog_methods(monkeypatch):
     return methods
 
 
-def test_sparse_path_solves_free_variables_with_equalities(monkeypatch, potrf_calls, linprog_methods):
+def test_highs_route_solves_free_variables_with_equalities(monkeypatch, potrf_calls, linprog_methods):
     lp = free_variable_lp()
-    dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+    dense, sparse = solve_default_and_by_highs(lp, monkeypatch)
     # a free column sends the LP to HiGHS's interior point on either
     # side of the threshold
     assert linprog_methods == ["highs-ipm", "highs-ipm"]
@@ -535,9 +535,9 @@ def test_sparse_path_solves_free_variables_with_equalities(monkeypatch, potrf_ca
     assert_same_solution(dense, sparse)
 
 
-def test_sparse_path_solves_equality_only_lps(monkeypatch):
+def test_highs_route_solves_equality_only_lps(monkeypatch):
     lp = equality_only_lp()
-    dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+    dense, sparse = solve_default_and_by_highs(lp, monkeypatch)
     assert check_kkt(lp, sparse).passed(1e-6)
     assert_same_solution(dense, sparse)
 
@@ -597,7 +597,7 @@ def test_the_pair_flow_lp_goes_to_the_interior_point(monkeypatch, pair_scenario)
     assert sol.lp_result.message == "converged"
 
 
-def test_sparse_path_handles_empty_rows(monkeypatch):
+def test_highs_route_handles_empty_rows(monkeypatch):
     # an empty equality row makes the normal matrix singular, also when
     # it stores an explicit zero; an empty inequality row only carries its slack
     stored_zero_row = sp.csr_matrix(([0.0, 1.0, -1.0], [1, 0, 2], [0, 1, 3]), shape=(2, 3))
@@ -610,18 +610,18 @@ def test_sparse_path_handles_empty_rows(monkeypatch):
         lo=[0, 0, 0],
         hi=[2, 2, 2],
     )
-    dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+    dense, sparse = solve_default_and_by_highs(lp, monkeypatch)
     assert check_kkt(lp, sparse).passed(1e-6)
     assert_same_solution(dense, sparse)
 
 
-def test_sparse_path_keeps_typed_statuses(monkeypatch):
+def test_highs_route_keeps_typed_statuses(monkeypatch):
     infeasible = StandardFormLP(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0], lo=[0.0], hi=[np.inf])
     unbounded = StandardFormLP(
         c=[1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], lo=[0.0, 0.0], hi=[np.inf, np.inf]
     )
     for lp, status in ((infeasible, "infeasible"), (unbounded, "unbounded")):
-        dense, sparse = solve_dense_and_sparse(lp, monkeypatch)
+        dense, sparse = solve_default_and_by_highs(lp, monkeypatch)
         assert dense.status == sparse.status == status
 
 

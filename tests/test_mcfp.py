@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 from relayflow import (
     CommoditySpec,
     McfpInstance,
+    McfpSolveError,
     Scenario,
     ScenarioConfig,
     SolverOptions,
@@ -180,6 +181,24 @@ def test_verify_passes_on_optimal(bridge_scenario):
     report = verify_solution(inst, solve_mcfp(inst))
     assert report.passed
     assert report.complementarity <= 1e-8
+
+
+def test_a_solution_that_fails_verification_is_raised_with_its_report(monkeypatch, bridge_scenario):
+    # verification is the last gate of solve_mcfp: the failing report and
+    # the LP result behind the rejected point travel on the error
+    real_verify = mcfp_module.verify_solution
+    reports = []
+
+    def failing_verify(inst, sol):
+        reports.append(dataclasses.replace(real_verify(inst, sol), dual_residual=1.0))
+        return reports[-1]
+
+    monkeypatch.setattr(mcfp_module, "verify_solution", failing_verify)
+    with pytest.raises(McfpSolveError, match="failed verification") as excinfo:
+        solve_mcfp(build_instance(bridge_scenario, [1.0, 1.0]))
+    assert len(reports) == 1 and not reports[0].passed
+    assert excinfo.value.report is reports[0]
+    assert excinfo.value.lp_result is not None and excinfo.value.lp_result.optimal
 
 
 def test_verify_catches_hand_perturbed_flow(bridge_scenario):
