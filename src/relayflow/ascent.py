@@ -21,7 +21,7 @@ of local increase, not necessarily the steepest one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -65,15 +65,43 @@ class AscentConfig:
 
 @dataclass(frozen=True)
 class AscentRecord:
+    # declaration order is the key order of trace.json records; construct by keyword
     iteration: int
     phi: float
+    alpha: float  # step size applied after this solve
     relay_positions: np.ndarray  # positions the solve was run at
     gradient: np.ndarray
-    alpha: float  # step size applied after this solve
+
+
+def _xy_header(agent: str, positions: np.ndarray) -> list[str]:
+    """CSV column names ``<agent><i>_x, <agent><i>_y`` of an (n, 2) position array."""
+    return [f"{agent}{i}_{axis}" for i in range(len(positions)) for axis in "xy"]
+
+
+def _xy_cells(positions: np.ndarray) -> list[str]:
+    """CSV cells of an (n, 2) position array, in the order of :func:`_xy_header`."""
+    return [repr(float(v)) for v in positions.ravel()]
+
+
+def _record_json(record) -> dict:
+    """A record's fields in declaration order, arrays as nested lists."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
+
+
+class _RunLog:
+    """Per-step log of an ascent or a simulation, written as CSV and JSON."""
+
+    def save(self, csv_path=None, json_path=None) -> None:
+        if csv_path is not None:
+            Path(csv_path).write_text(self.to_csv(), encoding="utf-8")
+        if json_path is not None:
+            text = json.dumps(self.to_json_dict(), indent=2) + "\n"
+            Path(json_path).write_text(text, encoding="utf-8")
 
 
 @dataclass
-class AscentTrace:
+class AscentTrace(_RunLog):
     records: list
     final_relay_positions: np.ndarray
     converged: bool
@@ -94,42 +122,20 @@ class AscentTrace:
         return np.array([rec.phi for rec in self.records])
 
     def to_csv(self) -> str:
-        num_relay = self.final_relay_positions.shape[0]
-        cols = ["iteration", "phi", "alpha"]
-        for r in range(num_relay):
-            cols += [f"relay{r}_x", f"relay{r}_y"]
-        lines = [",".join(cols)]
-        for rec in self.records:
-            row = [str(rec.iteration), repr(rec.phi), repr(rec.alpha)]
-            for r in range(num_relay):
-                row += [repr(float(rec.relay_positions[r, 0])), repr(float(rec.relay_positions[r, 1]))]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        cols = ["iteration", "phi", "alpha", *_xy_header("relay", self.final_relay_positions)]
+        rows = [
+            [str(rec.iteration), repr(rec.phi), repr(rec.alpha), *_xy_cells(rec.relay_positions)]
+            for rec in self.records
+        ]
+        return "\n".join(map(",".join, [cols, *rows])) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "converged": self.converged,
             "iterations": self.iterations,
             "final_relay_positions": self.final_relay_positions.tolist(),
-            "records": [
-                {
-                    "iteration": rec.iteration,
-                    "phi": rec.phi,
-                    "alpha": rec.alpha,
-                    "relay_positions": rec.relay_positions.tolist(),
-                    "gradient": rec.gradient.tolist(),
-                }
-                for rec in self.records
-            ],
+            "records": [_record_json(rec) for rec in self.records],
         }
-
-    def save(self, csv_path=None, json_path=None) -> None:
-        if csv_path is not None:
-            Path(csv_path).write_text(self.to_csv(), encoding="utf-8")
-        if json_path is not None:
-            Path(json_path).write_text(
-                json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-            )
 
 
 class AscentError(RuntimeError):
@@ -221,9 +227,9 @@ def ascend(
                 AscentRecord(
                     iteration=iteration,
                     phi=sol.phi,
+                    alpha=alpha,
                     relay_positions=relay_pos.copy(),
                     gradient=direction.copy(),
-                    alpha=alpha,
                 )
             )
             if cfg.backtracking:

@@ -337,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"relayflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--scenario", required=True)
+    inputs.add_argument("--weights", help="adhoc | ap:<j> | subset:<i,j,...> (default: file weights)")
 
     p = sub.add_parser("spawn", help="write a scenario JSON file")
     p.add_argument("--num-task", type=int, default=5)
@@ -345,30 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", help=f"named layout: {', '.join([*_LAYOUTS, *_SPAWNED_PRESETS])}")
     p.add_argument("--weights", help="weight preset stored in the file (default adhoc)")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spawn)
 
-    p = sub.add_parser("solve", help="solve one flow problem and verify it")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--weights", help="adhoc | ap:<j> | subset:<i,j,...> (default: file weights)")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("solve", parents=[inputs], help="solve one flow problem and verify it")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("ascend", help="optimize relay positions for a static team")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--weights")
+    p = sub.add_parser("ascend", parents=[inputs], help="optimize relay positions for a static team")
     p.add_argument("--alpha", type=float, default=0.4)
     p.add_argument("--decay", type=float, default=0.97)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--backtracking", action="store_true")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ascend)
 
-    p = sub.add_parser("simulate", help="run the mobile-team simulation")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--weights")
+    p = sub.add_parser("simulate", parents=[inputs], help="run the mobile-team simulation")
     p.add_argument("--dt", type=float, default=0.2)
     p.add_argument("--duration", type=float, default=20.0)
     p.add_argument("--vmax", type=float, default=0.09)
@@ -378,26 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin-task", type=int, action="append", help="task index held fixed (repeatable)")
     p.add_argument("--no-pre-optimize", action="store_true")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="time the flow solver across team sizes")
     p.add_argument("--sizes", default="2,5,10")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gradcheck", help="compare dual gradients to finite differences")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--weights")
+    p = sub.add_parser("gradcheck", parents=[inputs], help="compare dual gradients to finite differences")
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gradcheck)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 

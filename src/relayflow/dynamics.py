@@ -9,14 +9,12 @@ anything moves, so a run is fully reproducible from its seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .ascent import ascend, gradient_from_duals
+from .ascent import _record_json, _RunLog, _xy_cells, _xy_header, ascend, gradient_from_duals
 from .lp import SolverOptions
 from .mcfp import McfpSolveError, build_instance, solve_mcfp
 from .network import Scenario, area_side, validate_weights
@@ -51,14 +49,11 @@ class MotionConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.v_max < 0:
-            raise ValueError("v_max cannot be negative")
-        if self.accel_std < 0:
-            raise ValueError("accel_std cannot be negative")
+        for name in ("v_max", "accel_std", "duration"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
         if self.box_size is not None and self.box_size <= 0:
             raise ValueError("box_size must be positive")
-        if self.duration < 0:
-            raise ValueError("duration cannot be negative")
         if any(index < 0 for index in self.pinned_tasks):
             raise ValueError("pinned task indices cannot be negative")
 
@@ -73,16 +68,17 @@ class MotionConfig:
 
 @dataclass(frozen=True)
 class SimState:
+    # declaration order is the key order of timeline.json snapshots; construct by keyword
     time: float
+    phi: float
     task_positions: np.ndarray
     task_velocities: np.ndarray
     relay_positions: np.ndarray
     directions: np.ndarray
-    phi: float
 
 
 @dataclass
-class SimTimeline:
+class SimTimeline(_RunLog):
     states: list
     box_side: float
 
@@ -97,24 +93,17 @@ class SimTimeline:
         return np.array([st.time for st in self.states])
 
     def to_csv(self) -> str:
-        if not self.states:
-            return "tick,time_s,phi\n"
-        num_task = self.states[0].task_positions.shape[0]
-        num_relay = self.states[0].relay_positions.shape[0]
         cols = ["tick", "time_s", "phi"]
-        for i in range(num_task):
-            cols += [f"task{i}_x", f"task{i}_y"]
-        for i in range(num_relay):
-            cols += [f"relay{i}_x", f"relay{i}_y"]
-        lines = [",".join(cols)]
-        for tick, st in enumerate(self.states):
-            row = [str(tick), repr(st.time), repr(st.phi)]
-            for i in range(num_task):
-                row += [repr(float(st.task_positions[i, 0])), repr(float(st.task_positions[i, 1]))]
-            for i in range(num_relay):
-                row += [repr(float(st.relay_positions[i, 0])), repr(float(st.relay_positions[i, 1]))]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        if self.states:
+            first = self.states[0]
+            cols += _xy_header("task", first.task_positions)
+            cols += _xy_header("relay", first.relay_positions)
+        rows = [
+            [str(tick), repr(st.time), repr(st.phi), *_xy_cells(st.task_positions),
+             *_xy_cells(st.relay_positions)]
+            for tick, st in enumerate(self.states)
+        ]
+        return "\n".join(map(",".join, [cols, *rows])) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,26 +112,8 @@ class SimTimeline:
             "mode": "lockstep",
             "deterministic": True,
             "box_side": self.box_side,
-            "snapshots": [
-                {
-                    "time": st.time,
-                    "phi": st.phi,
-                    "task_positions": st.task_positions.tolist(),
-                    "task_velocities": st.task_velocities.tolist(),
-                    "relay_positions": st.relay_positions.tolist(),
-                    "directions": st.directions.tolist(),
-                }
-                for st in self.states
-            ],
+            "snapshots": [_record_json(st) for st in self.states],
         }
-
-    def save(self, csv_path=None, json_path=None) -> None:
-        if csv_path is not None:
-            Path(csv_path).write_text(self.to_csv(), encoding="utf-8")
-        if json_path is not None:
-            Path(json_path).write_text(
-                json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-            )
 
 
 class SimulationError(RuntimeError):
@@ -185,9 +156,7 @@ def step_task(
     new_vel[pinned] = 0.0
     new_pos[pinned] = positions[pinned]
 
-    for i in range(num):
-        if pinned[i]:
-            continue
+    for i in np.flatnonzero(~pinned):
         for dim in range(2):
             new_pos[i, dim], new_vel[i, dim] = _reflect(
                 new_pos[i, dim], new_vel[i, dim], box_side
@@ -251,11 +220,11 @@ def run_simulation(
         states.append(
             SimState(
                 time=tick * cfg.dt,
+                phi=sol.phi,
                 task_positions=task_pos.copy(),
                 task_velocities=task_vel.copy(),
                 relay_positions=relay_pos.copy(),
                 directions=directions.copy(),
-                phi=sol.phi,
             )
         )
         if tick == cfg.num_steps:

@@ -195,13 +195,14 @@ class KktReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
+        # np.max, not max: a NaN residual must show wherever it stands
+        return float(np.max([
             self.stationarity,
             self.primal_feasibility,
             self.dual_feasibility,
             self.complementarity,
             self.gap,
-        )
+        ]))
 
     def passed(self, tol: float = 1e-6) -> bool:
         return self.max_residual <= tol
@@ -234,19 +235,21 @@ def check_kkt(lp: StandardFormLP, result: LpResult) -> KktReport:
         float(np.max(np.abs(lp.b_eq), initial=0.0)),
     )
     slack_ub = lp.b_ub - lp.a_ub @ x
+    # np.max, not max, so a NaN term is kept wherever it stands; + 0.0 turns
+    # the -0.0 that np.max(-x) gives over zeros into 0.0
     viol = [
         float(np.max(-slack_ub, initial=0.0)),
         float(np.max(np.abs(lp.b_eq - lp.a_eq @ x), initial=0.0)),
         float(np.max(np.where(np.isfinite(lp.lo), lp.lo - x, 0.0), initial=0.0)),
         float(np.max(np.where(np.isfinite(lp.hi), x - lp.hi, 0.0), initial=0.0)),
     ]
-    primal = max(viol) / rhs_scale
+    primal = (float(np.max(viol)) + 0.0) / rhs_scale
 
-    dual = max(
+    dual = float(np.max([
         float(np.max(-result.y_ineq, initial=0.0)),
         float(np.max(np.where(np.isfinite(lp.lo), -result.z_lower, 0.0), initial=0.0)),
         float(np.max(np.where(np.isfinite(lp.hi), -result.z_upper, 0.0), initial=0.0)),
-    )
+    ])) + 0.0
 
     obj = float(lp.c @ x)
     comp_terms = [float(np.max(np.abs(result.y_ineq * slack_ub), initial=0.0))]
@@ -254,7 +257,7 @@ def check_kkt(lp: StandardFormLP, result: LpResult) -> KktReport:
     gu = np.where(np.isfinite(lp.hi), lp.hi - x, 0.0)
     comp_terms.append(float(np.max(np.abs(result.z_lower * gl), initial=0.0)))
     comp_terms.append(float(np.max(np.abs(result.z_upper * gu), initial=0.0)))
-    complementarity = max(comp_terms) / (1.0 + abs(obj))
+    complementarity = float(np.max(comp_terms)) / (1.0 + abs(obj))
 
     gap = abs(obj - dual_objective(lp, result)) / (1.0 + abs(obj))
     return KktReport(stationarity, primal, dual, complementarity, gap)

@@ -15,6 +15,7 @@ duals are exactly the shadow prices the ascent direction needs.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 from itertools import chain
@@ -91,8 +92,7 @@ class McfpInstance:
 def build_instance(scenario: Scenario, weights) -> McfpInstance:
     """Evaluate all pairwise capacities and bundle the commodity data."""
     c = capacity_matrix(scenario.capacity_model, scenario.positions())
-    w = validate_weights(weights, len(scenario.commodities))
-    return McfpInstance(c, scenario.commodities, w, scenario.relay_indices())
+    return McfpInstance(c, scenario.commodities, weights, scenario.relay_indices())
 
 
 @dataclass(frozen=True)
@@ -292,12 +292,14 @@ def solve_mcfp(inst: McfpInstance, opts: Optional[SolverOptions] = None) -> Flow
     """
     sol = _zero_solution(inst)
     keep = np.flatnonzero(inst.weights > 0)
-    if keep.size == 0 or inst.num_agents < 2:
+    if keep.size == 0:
         return sol
 
-    weighted = inst if keep.size == inst.num_commodities else McfpInstance(
-        inst.capacities, [inst.commodities[k] for k in keep], inst.weights[keep], inst.relay_set
-    )
+    weighted = inst
+    if keep.size < inst.num_commodities:
+        weighted = copy.copy(inst)  # inst is validated already; skip McfpInstance.__post_init__
+        weighted.commodities = tuple(inst.commodities[k] for k in keep)
+        weighted.weights = inst.weights[keep]
     lp, index = build_lp(weighted)
     result = solve(lp, opts)
     if not result.optimal:
@@ -348,14 +350,15 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            max(
+        # np.max, not max: a NaN residual must fail wherever it stands
+        return bool(
+            np.max([
                 self.primal_residual,
                 self.dual_residual,
                 self.complementarity,
                 self.gap,
                 self.slack_mu_max,
-            )
+            ])
             <= self.tol
         )
 
@@ -377,7 +380,9 @@ def verify_solution(inst: McfpInstance, sol: FlowSolution) -> VerificationReport
     relays = np.asarray(inst.relay_set, dtype=int)
     src_k, src_i = _source_entries(inst.commodities)
     a_src = sol.a[src_k, src_i]
-    primal = max(
+    # np.max, not max, so a NaN term is kept wherever it stands; + 0.0 turns
+    # the -0.0 that np.max(-x) gives over zeros into 0.0
+    primal = float(np.max([
         float(np.max(-slack[off_diag], initial=0.0)),  # capacity respected
         float(np.max(-sol.r, initial=0.0)),  # flow bounds
         float(np.max(sol.r - 1.0, initial=0.0)),
@@ -385,19 +390,19 @@ def verify_solution(inst: McfpInstance, sol: FlowSolution) -> VerificationReport
         float(np.max(np.abs(net_out[relays]), initial=0.0)),  # relays conserve flow
         float(np.max(a_src - net_out[src_i, src_k], initial=0.0)),  # injection bounded by net outflow
         float(np.max(sol.t[src_k] - a_src, initial=0.0)),  # epigraph feasibility
-    )
+    ])) + 0.0
 
-    dual = max(
+    dual = float(np.max([
         float(np.max(-sol.mu, initial=0.0)),
         float(np.max(-sol.lam, initial=0.0)),
-    )
+    ])) + 0.0
     comp = float(np.max(np.abs(sol.mu * slack), initial=0.0))
     is_slack = off_diag & (slack >= _SLACK_THRESHOLD)
-    slack_mu = float(np.max(sol.mu[is_slack], initial=0.0))
+    slack_mu = float(np.max(sol.mu[is_slack], initial=0.0)) + 0.0
 
     if sol.lp is not None and sol.lp_result is not None:
         kkt = check_kkt(sol.lp, sol.lp_result)
-        dual = max(dual, kkt.stationarity, kkt.dual_feasibility)
+        dual = float(np.max([dual, kkt.stationarity, kkt.dual_feasibility]))
         gap = kkt.gap
     else:
         gap = float(sol.gap)

@@ -7,6 +7,8 @@ import pytest
 from relayflow import (
     AscentConfig,
     AscentError,
+    AscentRecord,
+    AscentTrace,
     McfpSolveError,
     Scenario,
     ScenarioConfig,
@@ -190,6 +192,27 @@ def test_trace_csv_and_json(tmp_path, pair_scenario, pair_trace):
     # identical run produces identical bytes
     again = ascend(pair_scenario, np.ones(2))
     assert again.to_csv() == pair_trace.to_csv()
+
+
+def test_trace_csv_and_json_of_a_hand_built_trace(tmp_path):
+    rec = AscentRecord(
+        iteration=0, phi=0.5, alpha=0.4,
+        relay_positions=np.array([[0.1, -0.2], [1.0, 2.5]]), gradient=np.array([[1.0, 0.0], [0.0, -1.0]]),
+    )
+    trace = AscentTrace([rec], np.array([[0.5, -0.2], [1.0, 2.1]]), converged=False)
+    assert trace.to_csv() == (
+        "iteration,phi,alpha,relay0_x,relay0_y,relay1_x,relay1_y\n0,0.5,0.4,0.1,-0.2,1.0,2.5\n"
+    )
+    doc = trace.to_json_dict()
+    # the key order of trace.json: run fields, then each record's fields as declared
+    assert list(doc) == ["converged", "iterations", "final_relay_positions", "records"]
+    assert doc["records"] == [{
+        "iteration": 0, "phi": 0.5, "alpha": 0.4,
+        "relay_positions": [[0.1, -0.2], [1.0, 2.5]], "gradient": [[1.0, 0.0], [0.0, -1.0]],
+    }]
+    assert list(doc["records"][0]) == ["iteration", "phi", "alpha", "relay_positions", "gradient"]
+    trace.save(json_path=tmp_path / "trace.json")
+    assert (tmp_path / "trace.json").read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_solver_failure_carries_partial_trace(pair_scenario):

@@ -103,6 +103,14 @@ def test_model_rejects_bad_parameters():
         CapacityModel(exponent=np.nan)
 
 
+@pytest.mark.parametrize(
+    "p, message", [((0.0, 0.0, 1.0), "shape"), ((np.nan, 0.0), "finite"), ((0.0, np.inf), "finite")]
+)
+def test_scalar_rate_rejects_a_position_that_is_not_a_finite_pair(model, p, message):
+    with pytest.raises(ValueError, match=message):
+        capacity(model, p, (1.0, 0.0))
+
+
 def test_matrix_agrees_with_scalar_rate(model):
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 3, (5, 2))

@@ -97,6 +97,21 @@ def test_solve_zero_weights(tmp_path, two_agent_file):
     assert doc["phi"] == pytest.approx(E1, abs=1e-6)
 
 
+def test_solve_with_every_weight_zero_reports_unsigned_zero_residuals(tmp_path, pair_file, capsys):
+    # no LP is solved, and verification runs on the zero solution alone
+    doc = json.loads(pair_file.read_text())
+    doc["weights"] = [0.0, 0.0]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "solve"
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "verification: PASS" in printed
+    assert "dual residual: 0.000e+00" in printed
+    assert "-0.000e+00" not in printed
+    assert (out / "report.txt").read_text() == printed
+
+
 def test_solve_unreadable_file_is_input_error(tmp_path):
     rc = main(["solve", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
     assert rc == EXIT_INPUT
@@ -289,6 +304,27 @@ def test_spawn_rejects_a_density_that_is_not_finite_and_positive(tmp_path, capsy
     assert rc == EXIT_INPUT
     assert "density must be finite and positive" in capsys.readouterr().err
     assert not (out / "scenario.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--sizes", "2", "--repeats", "0"], "need at least one size and one repeat"),
+        (["gradcheck", "--scenario", "{relayless}"], "no relay agents"),
+        (["ascend", "--scenario", "{relayless}", "--decay", "0"], "decay must lie in (0, 1]"),
+        (["ascend", "--scenario", "{relayless}", "--decay", "1.5"], "decay must lie in (0, 1]"),
+        (["ascend", "--scenario", "{relayless}", "--max-iters", "0"], "max_iters must be at least 1"),
+    ],
+    ids=["bench-repeats", "gradcheck-no-relays", "ascend-decay-0", "ascend-decay-1.5", "ascend-max-iters"],
+)
+def test_input_a_command_cannot_run_exits_two_and_writes_nothing(
+    tmp_path, two_agent_file, capsys, argv, message
+):
+    out = tmp_path / "o"
+    argv = [str(two_agent_file) if arg == "{relayless}" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_returns_two(tmp_path, pair_file):

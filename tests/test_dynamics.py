@@ -5,6 +5,8 @@ from relayflow import (
     MotionConfig,
     Scenario,
     ScenarioConfig,
+    SimState,
+    SimTimeline,
     SimulationError,
     SolverOptions,
     default_commodities,
@@ -26,6 +28,10 @@ def test_motion_config_validation():
         MotionConfig(box_size=0.0)
     with pytest.raises(ValueError, match="negative"):
         MotionConfig(pinned_tasks=(-1,))
+    with pytest.raises(ValueError, match="accel_std"):
+        MotionConfig(accel_std=-0.01)
+    with pytest.raises(ValueError, match="duration"):
+        MotionConfig(duration=-1.0)
     assert MotionConfig(accel_std=0.04).accel_sigma == pytest.approx(0.2)
     assert MotionConfig(duration=20.0, dt=0.2).num_steps == 100
 
@@ -167,6 +173,34 @@ def test_timeline_csv_shape(mobile_scenario):
     assert doc["deterministic"] is True
     assert len(doc["snapshots"]) == timeline.num_snapshots
     assert "task_velocities" in doc["snapshots"][0]
+
+
+def test_empty_timeline_writes_a_header_only_csv(tmp_path):
+    timeline = SimTimeline([], box_side=1.0)
+    assert timeline.to_csv() == "tick,time_s,phi\n"
+    timeline.save(csv_path=tmp_path / "timeline.csv")
+    assert (tmp_path / "timeline.csv").read_text() == "tick,time_s,phi\n"
+    assert timeline.to_json_dict()["snapshots"] == []
+
+
+def test_timeline_csv_and_json_of_a_hand_built_snapshot():
+    state = SimState(
+        time=0.2, phi=0.75,
+        task_positions=np.array([[0.0, 1.0], [2.0, 3.0]]), task_velocities=np.array([[0.1, 0.0], [0.0, 0.0]]),
+        relay_positions=np.array([[0.5, 0.25]]), directions=np.array([[-1.0, 0.0]]),
+    )
+    timeline = SimTimeline([state], box_side=3.0)
+    assert timeline.to_csv() == (
+        "tick,time_s,phi,task0_x,task0_y,task1_x,task1_y,relay0_x,relay0_y\n"
+        "0,0.2,0.75,0.0,1.0,2.0,3.0,0.5,0.25\n"
+    )
+    doc = timeline.to_json_dict()
+    # the key order of timeline.json: run fields, then each snapshot's fields as declared
+    assert list(doc) == ["mode", "deterministic", "box_side", "snapshots"]
+    assert list(doc["snapshots"][0]) == [
+        "time", "phi", "task_positions", "task_velocities", "relay_positions", "directions",
+    ]
+    assert doc["snapshots"][0]["task_velocities"] == [[0.1, 0.0], [0.0, 0.0]]
 
 
 def test_run_rejects_tasks_outside_box(model):

@@ -21,7 +21,7 @@ from relayflow import (
 )
 from relayflow import lp as lp_module
 from relayflow import simplex as simplex_module
-from relayflow.lp import BlasThreadControl, dual_objective
+from relayflow.lp import BlasThreadControl, LpResult, dual_objective
 from relayflow.simplex import solve_simplex
 
 ENGINES = [solve_interior_point, solve_simplex, scipy_linprog_solve]
@@ -164,6 +164,29 @@ def test_check_kkt_reports_gap_for_suboptimal_point():
     assert report.complementarity > 0.1
 
 
+def test_check_kkt_reads_exact_zero_residuals_as_positive_zero():
+    # a tight row, an upper-bound column and all-zero duals: np.max(-x)
+    # over these zeros is -0.0, which a report must not show
+    lp = StandardFormLP(c=[0.0], a_ub=[[1.0]], b_ub=[1.0], lo=[0.0], hi=[1.0])
+    zero = np.zeros(1)
+    res = LpResult("optimal", np.ones(1), 0.0, zero, np.zeros(0), zero, zero, 0.0, 0)
+    report = check_kkt(lp, res)
+    for value in (report.primal_feasibility, report.dual_feasibility):
+        assert value == 0.0 and not np.signbit(value)
+
+
+@pytest.mark.parametrize("name", ["x", "y_ineq", "z_lower", "z_upper"])
+def test_check_kkt_fails_a_result_with_a_nan_entry(name):
+    # Python's max drops a NaN that does not lead, so every residual takes np.max
+    lp = StandardFormLP(c=[1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lo=[0, 0], hi=[1, 1])
+    res = solve(lp)
+    assert check_kkt(lp, res).passed(1e-6)
+    getattr(res, name)[-1] = np.nan
+    report = check_kkt(lp, res)
+    assert np.isnan(report.max_residual)
+    assert not report.passed(1e-6)
+
+
 def solve_and_check_against_highs(lp):
     mine = solve(lp)
     ref = scipy_linprog_solve(lp)
@@ -232,6 +255,17 @@ def test_solve_validates_shapes():
         StandardFormLP(c=[1.0], lo=[2.0], hi=[1.0])
     with pytest.raises(ValueError, match="at least one variable"):
         StandardFormLP(c=np.zeros(0))
+    with pytest.raises(ValueError, match="a_ub and b_ub disagree"):
+        StandardFormLP(c=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
+    with pytest.raises(ValueError, match="a_eq and b_eq disagree"):
+        StandardFormLP(c=[1.0], a_eq=[[1.0]], b_eq=[1.0, 2.0])
+    with pytest.raises(ValueError, match="bound vectors"):
+        StandardFormLP(c=[1.0, 2.0], lo=[0.0])
+    lp = StandardFormLP(**SMALL_LP)
+    with pytest.raises(ValueError, match="with_data needs c and b_ub"):
+        lp.with_data(np.zeros(3), lp.b_ub)
+    with pytest.raises(ValueError, match="must be finite"):
+        lp.with_data(lp.c, [np.inf, 1.0])
 
 
 SMALL_LP = dict(

@@ -223,6 +223,26 @@ def test_verify_catches_injection_above_net_outflow(bridge_scenario):
     assert report.primal_residual == pytest.approx(0.1, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "name, index",
+    [
+        ("r", (0, 1, 0)),  # an off-diagonal flow: the capacity term sees it first
+        ("r", (-1, -1, -1)),  # a diagonal flow: only the flow bound and complementarity see it
+        ("a", (-1, -1)),
+        ("t", (-1,)),
+        ("mu", (0, 1)),
+        ("lam", (-1, -1)),
+    ],
+)
+def test_verify_fails_a_solution_with_a_nan_entry(bridge_scenario, name, index):
+    # Python's max drops a NaN that does not lead, so every residual takes np.max
+    inst = build_instance(bridge_scenario, [1.0, 1.0])
+    sol = solve_mcfp(inst)
+    bad = getattr(sol, name).copy()
+    bad[index] = np.nan
+    assert not verify_solution(inst, dataclasses.replace(sol, **{name: bad})).passed
+
+
 def test_slack_edges_carry_no_price(model):
     # one-hot weights leave the edges serving other commodities unused
     scenario = Scenario(
@@ -500,6 +520,13 @@ def test_instance_validation():
         McfpInstance(np.array([[0.0, 0.5], [0.4, 0.0]]), default_commodities(2), [1, 1], ())
     with pytest.raises(ValueError):
         McfpInstance(np.array([[0.1, 0.5], [0.5, 0.1]]), default_commodities(2), [1, 1], ())
+    caps = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="square"):
+        McfpInstance(np.zeros((2, 3)), default_commodities(2), [1, 1], ())
+    with pytest.raises(ValueError, match="references agent outside the graph"):
+        McfpInstance(caps, default_commodities(3), [1, 1, 1], ())
+    with pytest.raises(ValueError, match="relay indices"):
+        McfpInstance(caps, default_commodities(2), [1, 1], (2,))
 
 
 @pytest.mark.parametrize("c01, c10, symmetric", [

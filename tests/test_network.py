@@ -94,6 +94,10 @@ def test_weight_preset_errors():
         weight_preset("bogus", 3)
     with pytest.raises(ValueError):
         validate_weights([1.0, -0.5], 2)
+    with pytest.raises(ValueError, match="expected 2 weights, got 3"):
+        validate_weights([1.0, 1.0, 1.0], 2)
+    with pytest.raises(ValueError, match="at least one index"):
+        weight_preset("subset:", 3)
 
 
 def test_scenario_json_round_trip(tmp_path, model):
@@ -145,6 +149,12 @@ def test_scenario_validation(model):
         )
     with pytest.raises(ValueError):
         ScenarioConfig(num_task=3, num_relay=1, density=0.0)
+    with pytest.raises(ValueError, match="at least one task agent"):
+        Scenario(np.zeros((0, 2)), np.zeros((0, 2)), model)
+    with pytest.raises(ValueError, match="at least one task agent"):
+        ScenarioConfig(num_task=0, num_relay=1)
+    with pytest.raises(ValueError, match="relay count"):
+        ScenarioConfig(num_task=3, num_relay=-1)
 
 
 def test_scenario_from_dict_reads_relay_positions_only_in_pairs(model):
