@@ -124,18 +124,6 @@ class SimulationError(RuntimeError):
         self.partial_timeline = partial_timeline
 
 
-def _reflect(position: float, velocity: float, side: float) -> tuple[float, float]:
-    # mirror across whichever wall was crossed; repeat in case the step
-    # overshoots the whole box
-    while position < 0.0 or position > side:
-        if position < 0.0:
-            position = -position
-        else:
-            position = 2.0 * side - position
-        velocity = -velocity
-    return position, velocity
-
-
 def step_task(
     positions: np.ndarray,
     velocities: np.ndarray,
@@ -156,11 +144,13 @@ def step_task(
     new_vel[pinned] = 0.0
     new_pos[pinned] = positions[pinned]
 
-    for i in np.flatnonzero(~pinned):
-        for dim in range(2):
-            new_pos[i, dim], new_vel[i, dim] = _reflect(
-                new_pos[i, dim], new_vel[i, dim], box_side
-            )
+    # mirror every coordinate across whichever wall it crossed, again while
+    # a step overshoots the whole box; pinned tasks start inside and stay
+    crossed = (new_pos < 0.0) | (new_pos > box_side)
+    while crossed.any():
+        new_pos = np.where(new_pos < 0.0, -new_pos, np.where(crossed, 2.0 * box_side - new_pos, new_pos))
+        new_vel = np.where(crossed, -new_vel, new_vel)
+        crossed = (new_pos < 0.0) | (new_pos > box_side)
     return new_pos, new_vel
 
 

@@ -180,6 +180,40 @@ class LpResult:
     iterations: int
     message: str = ""
 
+    @classmethod
+    def at_point(cls, lp: StandardFormLP, status: str, x, y_ineq, y_eq, z_lower, z_upper,
+                 iterations: int, message: str, gap: Optional[float] = None) -> "LpResult":
+        """The result of a solve that ended at point ``x``, with duals in the
+        maximization convention of :class:`StandardFormLP`.
+
+        Every engine builds its answer here.  The inequality and bound
+        duals are clipped at zero, bound duals are kept on finite bounds
+        only, and the objective is recomputed at ``x``.  ``gap`` is the
+        engine's own measure; without one an optimal result stores the
+        gap of :func:`check_kkt` and any other result NaN.
+        """
+        x = np.array(x, dtype=float)
+        result = cls(
+            status, x, float(lp.c @ x), np.maximum(y_ineq, 0.0), np.array(y_eq, dtype=float),
+            np.maximum(np.where(np.isfinite(lp.lo), z_lower, 0.0), 0.0),
+            np.maximum(np.where(np.isfinite(lp.hi), z_upper, 0.0), 0.0),
+            np.nan if gap is None else gap, iterations, message,
+        )
+        if gap is None and result.optimal:
+            result.gap = check_kkt(lp, result).gap
+        return result
+
+    @classmethod
+    def without_point(cls, lp: StandardFormLP, status: str, iterations: int, message: str) -> "LpResult":
+        """The zero-shaped result of a solve that ended without a point;
+        any verdict but infeasible, unbounded or iteration_limit reads as
+        numerical."""
+        if status not in ("infeasible", "unbounded", "iteration_limit"):
+            status = "numerical"
+        zeros_n = np.zeros(lp.num_vars)
+        return cls(status, zeros_n, np.nan, np.zeros(lp.num_ineq), np.zeros(lp.num_eq),
+                   zeros_n.copy(), zeros_n.copy(), np.inf, iterations, message)
+
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
@@ -601,17 +635,8 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
             z_upper = np.zeros(lp.num_vars)
             z_lower[lo_at] = zl
             z_upper[hi_at] = zu
-            return LpResult(
-                status="optimal",
-                x=z.copy(),
-                objective=float(lp.c @ z),
-                y_ineq=w.copy(),
-                y_eq=y.copy(),
-                z_lower=z_lower,
-                z_upper=z_upper,
-                gap=rel_gap,
-                iterations=iters,
-                message="converged",
+            return LpResult.at_point(
+                lp, "optimal", z, w, y, z_lower, z_upper, iters, "converged", gap=rel_gap
             )
 
         if stall_count >= 12:
@@ -743,29 +768,12 @@ def _highs(lp: StandardFormLP, method: str) -> LpResult:
     status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(
         res.status, "numerical"
     )
+    iterations = int(getattr(res, "nit", 0))
     if res.x is None:
-        zeros_n = np.zeros(lp.num_vars)
-        return LpResult(
-            status, zeros_n, np.nan, np.zeros(lp.num_ineq), np.zeros(lp.num_eq),
-            zeros_n.copy(), zeros_n.copy(), np.inf, int(getattr(res, "nit", 0)), res.message,
-        )
-    x = np.asarray(res.x, dtype=float)
+        return LpResult.without_point(lp, status, iterations, res.message)
     y_ineq = -np.asarray(res.ineqlin.marginals, dtype=float) if lp.num_ineq else np.zeros(0)
     y_eq = -np.asarray(res.eqlin.marginals, dtype=float) if lp.num_eq else np.zeros(0)
-    z_lower = np.where(np.isfinite(lp.lo), np.asarray(res.lower.marginals, dtype=float), 0.0)
-    z_upper = np.where(np.isfinite(lp.hi), -np.asarray(res.upper.marginals, dtype=float), 0.0)
-    result = LpResult(
-        status=status,
-        x=x,
-        objective=float(lp.c @ x),
-        y_ineq=np.maximum(y_ineq, 0.0),
-        y_eq=y_eq,
-        z_lower=np.maximum(z_lower, 0.0),
-        z_upper=np.maximum(z_upper, 0.0),
-        gap=np.nan,
-        iterations=int(getattr(res, "nit", 0)),
-        message=res.message,
+    return LpResult.at_point(
+        lp, status, res.x, y_ineq, y_eq, np.asarray(res.lower.marginals, dtype=float),
+        -np.asarray(res.upper.marginals, dtype=float), iterations, res.message,
     )
-    if result.optimal:
-        result.gap = check_kkt(lp, result).gap
-    return result

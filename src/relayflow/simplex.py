@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lp import LpResult, SolverOptions, StandardFormLP, check_kkt
+from .lp import LpResult, SolverOptions, StandardFormLP
 
 _AT_LO, _AT_HI, _BASIC, _FREE0 = 0, 1, 2, 3
 _REFRESH_EVERY = 128
@@ -168,64 +168,29 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
     max_pivots = max(2000, 50 * (m_rows + n_struct))
     state = run_phase(phase1_cost, max_pivots)
     if state == "numerical" or state == "pivot_limit":
-        return _failure(lp, state, "phase one did not finish")
+        return LpResult.without_point(lp, state, 0, "phase one did not finish")
     infeas = float(np.sum(x[n_struct:]))
     if infeas > 1e-7 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
-        return _failure(lp, "infeasible", f"phase one residual {infeas:.2e}")
+        return LpResult.without_point(lp, "infeasible", 0, f"phase one residual {infeas:.2e}")
 
     ub_full[n_struct:] = 0.0  # artificials may stay basic only at zero
     x[n_struct:] = np.maximum(x[n_struct:], 0.0)
     state = run_phase(phase2_cost, max_pivots)
     if state == "numerical" or state == "pivot_limit":
-        return _failure(lp, state, "phase two did not finish")
+        return LpResult.without_point(lp, state, 0, "phase two did not finish")
     if state == "unbounded":
-        return _failure(lp, "unbounded", "phase two found an unbounded ray")
+        return LpResult.without_point(lp, "unbounded", 0, "phase two found an unbounded ray")
 
     # final cleanup: recompute basics and duals from a fresh inverse
     if not refresh_inverse():
-        return _failure(lp, "numerical", "final basis is singular")
+        return LpResult.without_point(lp, "numerical", 0, "final basis is singular")
     x_nonbasic = np.where(status == _BASIC, 0.0, x)
     x[basis] = b_inv @ (rhs - mat @ x_nonbasic)
     lam = phase2_cost[basis] @ b_inv
     rc = phase2_cost - lam @ mat
 
-    z = x[:n]
-    y_ineq = np.maximum(-lam[:m_in], 0.0)
-    y_eq = -lam[m_in:]
-    zl = np.zeros(n)
-    zu = np.zeros(n)
-    at_lo = (status[:n] == _AT_LO) & np.isfinite(lp.lo)
-    at_hi = (status[:n] == _AT_HI) & np.isfinite(lp.hi)
-    zl[at_lo] = np.maximum(rc[:n][at_lo], 0.0)
-    zu[at_hi] = np.maximum(-rc[:n][at_hi], 0.0)
-
-    result = LpResult(
-        status="optimal",
-        x=z.copy(),
-        objective=float(lp.c @ z),
-        y_ineq=y_ineq,
-        y_eq=y_eq,
-        z_lower=zl,
-        z_upper=zu,
-        gap=0.0,
-        iterations=0,
-        message="simplex",
-    )
-    result.gap = check_kkt(lp, result).gap
-    return result
-
-
-def _failure(lp: StandardFormLP, status: str, message: str) -> LpResult:
-    zeros_n = np.zeros(lp.num_vars)
-    return LpResult(
-        status=status if status in ("infeasible", "unbounded") else "numerical",
-        x=zeros_n,
-        objective=np.nan,
-        y_ineq=np.zeros(lp.num_ineq),
-        y_eq=np.zeros(lp.num_eq),
-        z_lower=zeros_n.copy(),
-        z_upper=zeros_n.copy(),
-        gap=np.inf,
-        iterations=0,
-        message=message,
-    )
+    # a nonbasic column at a bound carries that bound's dual; the
+    # minimization multipliers flip sign into the maximization convention
+    zl = np.where(status[:n] == _AT_LO, rc[:n], 0.0)
+    zu = np.where(status[:n] == _AT_HI, -rc[:n], 0.0)
+    return LpResult.at_point(lp, "optimal", x[:n], -lam[:m_in], -lam[m_in:], zl, zu, 0, "simplex")

@@ -420,7 +420,7 @@ def test_interior_point_returns_the_simplex_verdict_when_it_stops_short(monkeypa
     verdicts = []
 
     def giving_up(lp, opts=None):
-        verdicts.append(simplex_module._failure(lp, "numerical", "simplex gave up"))
+        verdicts.append(LpResult.without_point(lp, "numerical", 0, "simplex gave up"))
         return verdicts[-1]
 
     monkeypatch.setattr(simplex_module, "solve_simplex", giving_up)

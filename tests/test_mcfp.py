@@ -28,6 +28,9 @@ from relayflow.simplex import solve_simplex
 
 E1 = np.exp(-1.0)
 E4 = np.exp(-4.0)
+# the default interior point, the dense simplex and HiGHS through linprog
+ENGINES = [None, solve_simplex, scipy_linprog_solve]
+ENGINE_IDS = ["default", "simplex", "linprog"]
 
 
 def oracle_phi(inst):
@@ -444,14 +447,22 @@ def test_sparse_path_solve_of_a_spawned_team(model):
     assert abs(sol.phi - ref.phi) <= 1e-6 * (1.0 + abs(ref.phi))
 
 
-def test_team25x10_spawn_seed_1_solves_verified(model):
+def test_team25x10_spawn_seed_1_solves_verified(model, monkeypatch):
     # the team the CI step solves; it is above the dense threshold, so
     # HiGHS's interior point with crossover takes it (about 2 s on a
     # 2-core host)
+    methods = []
+    real_highs = lp_module._highs
+
+    def spying_highs(lp, method):
+        methods.append(method)
+        return real_highs(lp, method)
+
+    monkeypatch.setattr(lp_module, "_highs", spying_highs)
     scenario = spawn_scenario(ScenarioConfig(num_task=25, num_relay=10, rng_seed=1), model)
     inst = build_instance(scenario, weight_preset("adhoc", 25))
     sol = solve_mcfp(inst)
-    assert "HiGHS" in sol.lp_result.message
+    assert sol.lp._dense is None and methods == ["highs-ipm"]
     assert verify_solution(inst, sol).passed
     assert sol.phi == pytest.approx(0.6189058980, abs=1e-9)
 
@@ -466,7 +477,6 @@ def test_engines_agree_on_random_and_degenerate_scenarios(model):
         st.floats(0.0, 2.5, allow_nan=False),
         st.sampled_from([0.5 * step for step in range(6)]),
     )
-    engines = [None, solve_simplex, scipy_linprog_solve]
 
     @hyp.settings(max_examples=40, deadline=None)
     @hyp.given(
@@ -488,7 +498,7 @@ def test_engines_agree_on_random_and_degenerate_scenarios(model):
         pts = np.reshape(points[: 2 * (num_task + num_relay)], (-1, 2))
         scenario = Scenario(pts[:num_task], pts[num_task:], model, default_commodities(num_task))
         inst = build_instance(scenario, weights[:num_task])
-        phis = [solve_mcfp(inst, SolverOptions(engine=engine)).phi for engine in engines]
+        phis = [solve_mcfp(inst, SolverOptions(engine=engine)).phi for engine in ENGINES]
         # the LP with every commodity, zero weights included, as one more reference
         full = scipy_linprog_solve(build_lp(inst)[0])
         assert full.optimal
@@ -497,6 +507,95 @@ def test_engines_agree_on_random_and_degenerate_scenarios(model):
             assert abs(phi - phis[0]) <= 1e-6 * (1.0 + abs(phis[0])), phis
         if not any(weights[:num_task]):
             assert phis == [0.0] * len(phis)
+
+    check()
+
+
+def flow_instances(st, model):
+    """Flow instances of 2-3 task agents and 1-3 relays, placed freely or on
+    a 0.5 grid (coincident agents, symmetric layouts), weights in {0, 0.5, 1}."""
+    coord = st.one_of(
+        st.floats(0.0, 2.5, allow_nan=False),
+        st.sampled_from([0.5 * step for step in range(6)]),
+    )
+
+    @st.composite
+    def instances(draw):
+        num_task, num_relay = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        pts = np.reshape(draw(st.lists(coord, min_size=12, max_size=12)), (-1, 2))[: num_task + num_relay]
+        scenario = Scenario(pts[:num_task], pts[num_task:], model, default_commodities(num_task))
+        weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=num_task, max_size=num_task))
+        return build_instance(scenario, weights)
+
+    return instances()
+
+
+def symmetric(num_agents, upper):
+    """The symmetric matrix with zero diagonal whose upper triangle, row by
+    row, is the start of ``upper``."""
+    out = np.zeros((num_agents, num_agents))
+    rows, cols = np.triu_indices(num_agents, 1)
+    out[rows, cols] = upper[: rows.size]
+    return out + out.T
+
+
+# derandomized, so tier-1 runs the same examples every time
+PROPERTY_SETTINGS = dict(max_examples=25, deadline=None, derandomize=True, database=None)
+# entries enough for the upper triangle of the largest instance, 6 agents
+NUM_UPPER = 15
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_shadow_prices_are_supergradients_of_phi(model, engine):
+    # phi is concave in the capacities and mu is an optimal capacity dual,
+    # so no symmetric change of the capacities, small or large, gains more
+    # than mu predicts, whichever engine produced mu
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    opts = SolverOptions(engine=engine)
+
+    @hyp.settings(**PROPERTY_SETTINGS)
+    @hyp.given(
+        inst=flow_instances(st, model),
+        upper=st.lists(st.floats(-1.0, 1.0), min_size=NUM_UPPER, max_size=NUM_UPPER),
+        exponent=st.floats(-6.0, 0.0),
+    )
+    def check(inst, upper, exponent):
+        sol = solve_mcfp(inst, opts)
+        moved = np.clip(inst.capacities + 10.0**exponent * symmetric(inst.num_agents, upper), 0.0, 1.0)
+        predicted = sol.phi + float(np.sum(sol.mu * (moved - inst.capacities)))
+        assert solve_mcfp(inst.with_capacities(moved), opts).phi <= predicted + 1e-8 * (1.0 + abs(sol.phi))
+
+    check()
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_phi_is_homogeneous_monotone_and_blind_to_relay_order(model, engine):
+    # phi(sC) = s phi(C), phi(C') >= phi(C) for C' >= C, and relabeling
+    # the relays changes nothing
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    opts = SolverOptions(engine=engine)
+
+    @hyp.settings(**PROPERTY_SETTINGS)
+    @hyp.given(
+        inst=flow_instances(st, model),
+        scale=st.floats(1e-6, 1.0),
+        upper=st.lists(st.floats(0.0, 1.0), min_size=NUM_UPPER, max_size=NUM_UPPER),
+        exponent=st.floats(-6.0, 0.0),
+        order=st.permutations(range(3)),
+    )
+    def check(inst, scale, upper, exponent, order):
+        cap = inst.capacities
+        phi = solve_mcfp(inst, opts).phi
+        tol = 1e-8 * (1.0 + abs(phi))
+        assert abs(solve_mcfp(inst.with_capacities(scale * cap), opts).phi - scale * phi) <= tol
+        grown = np.minimum(cap + 10.0**exponent * symmetric(inst.num_agents, upper), 1.0)
+        assert solve_mcfp(inst.with_capacities(grown), opts).phi >= phi - tol
+        num_task = inst.num_agents - len(inst.relay_set)
+        relays = [num_task + q for q in order if num_task + q < inst.num_agents]
+        perm = np.r_[np.arange(num_task), relays]
+        assert abs(solve_mcfp(inst.with_capacities(cap[np.ix_(perm, perm)]), opts).phi - phi) <= tol
 
     check()
 
