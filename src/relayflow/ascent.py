@@ -13,9 +13,14 @@ The direction for relay i is
 
 which is a direction of local increase of the team utility because the
 duals measure the sensitivity of the optimal value to each capacity
-bound.  At configurations where the optimal duals are not unique the
-solver returns centered duals, and the formula still yields a direction
-of local increase, not necessarily the steepest one.
+bound.  At configurations where the optimal duals are not unique, which
+duals the formula sees depends on how the solve ended: the interior
+point's converged exit returns centered duals, while a solve that
+stalls into the simplex endgame, and every LP above the dense threshold
+(which HiGHS solves), returns the duals of an optimal vertex.  On the
+benchmark's seed-0 fixture ascents the simplex finishes 128 of 892
+solves, 125 of them on ``square4``.  Either way the direction need not
+be the steepest one.
 """
 
 from __future__ import annotations
@@ -174,8 +179,8 @@ def finite_difference_phi(
     Costs two solves per relay coordinate; serves as the independent
     check of :func:`gradient_from_duals`.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
     w = validate_weights(weights, len(scenario.commodities))
     out = np.zeros_like(scenario.relay_positions)
     for rel in range(scenario.num_relay):

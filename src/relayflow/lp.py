@@ -11,7 +11,7 @@ prices, so the interior point iterates to a relative accuracy of 1e-9,
 and every result can be re-checked with :func:`check_kkt`.
 
 The default engine makes one decision.  An LP with at least one row, a
-finite bound on every column and at most ``_DENSE_MAX_ENTRIES``
+finite lower bound on every column and at most ``_DENSE_MAX_ENTRIES``
 constraint-matrix entries, as every flow LP of a small team is, goes
 to an infeasible-start predictor-corrector interior-point method on the
 reduced normal equations, which it factors densely.  Every other LP
@@ -445,10 +445,11 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     (1e-9) in relative duality gap and in primal and dual infeasibility.
     ``opts`` is accepted for the engine signature and not read.
 
-    The interior point takes an LP with at least one row, a finite bound
-    on every column and at most ``_DENSE_MAX_ENTRIES`` constraint-matrix
-    entries, as the flow LP of a team of up to about 13 agents is.
-    Every other LP goes to HiGHS's interior point with crossover
+    The interior point takes an LP with at least one row, a finite lower
+    bound on every column and at most ``_DENSE_MAX_ENTRIES``
+    constraint-matrix entries, as the flow LP of a team of up to about 13
+    agents is.  Every other LP, one with an upper-only or free column
+    included, goes to HiGHS's interior point with crossover
     (``highs-ipm``), and its result is returned as it is: ``status``,
     ``message`` and ``iterations`` are HiGHS's, and the duals are those
     of its optimal vertex, so their complementarity is exact and they
@@ -481,63 +482,38 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
 
 def _takes_dense(lp: StandardFormLP) -> bool:
     """Whether the in-repo interior point takes the LP: at least one row,
-    a finite bound on every column, at most ``_DENSE_MAX_ENTRIES`` entries."""
+    a finite lower bound on every column, at most ``_DENSE_MAX_ENTRIES``
+    entries."""
     num_rows = lp.num_ineq + lp.num_eq
-    bounded = np.isfinite(lp.lo) | np.isfinite(lp.hi)
-    return bool(num_rows) and bool(bounded.all()) and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES
+    lower = bool(np.isfinite(lp.lo).all())
+    return bool(num_rows) and lower and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES
 
 
 class _DenseForm(NamedTuple):
     """The arrays the interior point works on that depend only on the
     constraint matrices and the bounds."""
 
-    a_ub: np.ndarray
-    a_eq: np.ndarray
     a_hat: np.ndarray  # [a_eq; a_ub]
-    # columns with a finite lower (upper) bound, as a slice when they are
-    # contiguous, else as an index array, and their bounds
-    lo_at: object
-    hi_at: object
-    lo: np.ndarray
-    hi: np.ndarray
-    z0: np.ndarray  # the starting point: mid-box, or one unit inside a one-sided bound
+    hi_at: np.ndarray  # the columns with a finite upper bound
+    hi: np.ndarray  # their upper bounds
+    z0: np.ndarray  # the starting point: mid-box, or one unit above a lower-only bound
     source: tuple  # the a_ub, a_eq, lo and hi objects it was built from
 
     def built_from(self, lp: StandardFormLP) -> bool:
         return all(a is b for a, b in zip(self.source, (lp.a_ub, lp.a_eq, lp.lo, lp.hi)))
 
 
-def _columns(mask: np.ndarray):
-    """The positions of ``mask``'s True entries: a slice when they are
-    contiguous, else an index array."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return slice(0, 0)
-    if idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 def _dense_form(lp: StandardFormLP) -> _DenseForm:
-    """Dense copies of the constraint matrices (sparse per-call overhead
+    """A dense copy of the constraint matrix (sparse per-call overhead
     dwarfs the arithmetic at the sizes the interior point takes) and the
-    bound layout, all read-only."""
-    has_lo, has_hi = np.isfinite(lp.lo), np.isfinite(lp.hi)
-    z0 = np.zeros(lp.num_vars)
-    both = has_lo & has_hi
-    z0[both] = 0.5 * (lp.lo[both] + lp.hi[both])
-    only_lo = has_lo & ~has_hi
-    z0[only_lo] = lp.lo[only_lo] + 1.0
-    only_hi = has_hi & ~has_lo
-    z0[only_hi] = lp.hi[only_hi] - 1.0
+    upper-bound layout, all read-only."""
+    hi_at = np.flatnonzero(np.isfinite(lp.hi))
+    z0 = lp.lo + 1.0
+    z0[hi_at] = 0.5 * (lp.lo[hi_at] + lp.hi[hi_at])
     form = _DenseForm(
-        a_ub=lp.a_ub.toarray(),
-        a_eq=lp.a_eq.toarray(),
         a_hat=sp.vstack([lp.a_eq, lp.a_ub], format="csr").toarray(),
-        lo_at=_columns(has_lo),
-        hi_at=_columns(has_hi),
-        lo=lp.lo[has_lo],
-        hi=lp.hi[has_hi],
+        hi_at=hi_at,
+        hi=lp.hi[hi_at],
         z0=z0,
         source=(lp.a_ub, lp.a_eq, lp.lo, lp.hi),
     )
@@ -560,29 +536,29 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
     if form is None or not form.built_from(lp):  # none cached, or a caller replaced an array
         form = _dense_form(lp)
     m_in, m_eq = lp.num_ineq, lp.num_eq
-    a_ub, a_eq, a_hat = form.a_ub, form.a_eq, form.a_hat
+    a_hat, hi_at = form.a_hat, form.hi_at
+    a_eq, a_ub = a_hat[:m_eq], a_hat[m_eq:]  # row views
     a_ub_t, a_eq_t, a_hat_t = a_ub.T, a_eq.T, a_hat.T
-    lo_at, hi_at = form.lo_at, form.hi_at
 
     f = -lp.c
     b_ub = lp.b_ub
     b_eq = lp.b_eq
 
-    # The complementarity pairs, stacked over the finite bounds only:
-    # pv = [s; z - lo; hi - z] and dv = [w; z_l; z_u] on the blocks ``wb``
-    # (slacks), ``lb``/``ub`` (lower/upper bounds) and ``bb`` (both).  A
-    # direction carries dpv = [ds; dz; -dz] and ddv = [dw; dz_l; dz_u], so
-    # each complementarity product, the dual update (-r - dv dpv) / pv,
-    # the refinement residual r + dv dpv + pv ddv, the updates and the
-    # step limits are one array operation each.  Every dot and matrix
+    # The complementarity pairs, stacked over every lower bound and the
+    # finite upper bounds: pv = [s; z - lo; hi - z] and dv = [w; z_l; z_u]
+    # on the blocks ``wb`` (slacks), ``lb``/``ub`` (lower/upper bounds) and
+    # ``bb`` (both).  A direction carries dpv = [ds; dz; -dz] and
+    # ddv = [dw; dz_l; dz_u], so each complementarity product, the dual
+    # update (-r - dv dpv) / pv, the refinement residual r + dv dpv + pv ddv,
+    # the updates and the step limits are one array operation each.  Every dot and matrix
     # product keeps its operands and order; the elementwise ops differ
     # only by exact rearrangements (x - (-y) as x + y, no + 0.0 on a
     # column without that bound), so the iterates match to the last bit.
-    nl = form.lo.size
-    num_comp = m_in + nl + form.hi.size  # positive: every column has a finite bound
+    n = lp.num_vars
+    num_comp = m_in + n + form.hi.size
     wb = slice(0, m_in)
-    lb = slice(m_in, m_in + nl)
-    ub = slice(m_in + nl, num_comp)
+    lb = slice(m_in, m_in + n)
+    ub = slice(m_in + n, num_comp)
     bb = slice(m_in, num_comp)
     z = form.z0.copy()
     y = np.zeros(m_eq)
@@ -604,11 +580,11 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
 
     iters = 0  # Newton steps taken
     while iters < _MAX_ITERS:
-        np.subtract(z[lo_at], form.lo, out=gl)
+        np.subtract(z, lp.lo, out=gl)
         np.subtract(form.hi, z[hi_at], out=gu)
 
         r_d = f + a_ub_t @ w + a_eq_t @ y
-        r_d[lo_at] -= zl
+        r_d -= zl
         r_d[hi_at] += zu
         r_eq = a_eq @ z - b_eq
         r_in = a_ub @ z + s - b_ub
@@ -616,7 +592,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
         mu = (float(w @ s) + float(zl @ gl) + float(zu @ gu)) / num_comp
 
         p_obj = float(f @ z)
-        d_obj = -float(b_ub @ w) - float(b_eq @ y) + float(form.lo @ zl) - float(form.hi @ zu)
+        d_obj = -float(b_ub @ w) - float(b_eq @ y) + float(lp.lo @ zl) - float(form.hi @ zu)
         rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj))
         rel_pinf = max(
             float(np.abs(r_eq).max(initial=0.0)), float(np.abs(r_in).max(initial=0.0))
@@ -631,22 +607,17 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
             stall_count += 1
 
         if rel_gap <= _TARGET and rel_pinf <= _TARGET and rel_dinf <= _TARGET:
-            z_lower = np.zeros(lp.num_vars)
-            z_upper = np.zeros(lp.num_vars)
-            z_lower[lo_at] = zl
+            z_upper = np.zeros(n)
             z_upper[hi_at] = zu
-            return LpResult.at_point(
-                lp, "optimal", z, w, y, z_lower, z_upper, iters, "converged", gap=rel_gap
-            )
+            return LpResult.at_point(lp, "optimal", z, w, y, zl, z_upper, iters, "converged", gap=rel_gap)
 
         if stall_count >= 12:
             break  # numerically stuck
 
         # normal matrix plus slack scaling: D = zl/gl + zu/gu per column
         ratio = dv[bb] / pv[bb]
-        dinv = np.zeros(lp.num_vars)
-        dinv[lo_at] = ratio[:nl]
-        dinv[hi_at] += ratio[nl:]
+        dinv = ratio[:n]
+        dinv[hi_at] += ratio[n:]
         dinv = 1.0 / dinv
         e_diag[m_eq:] = s / w
         m_solve = _dense_normal_solver(a_hat, dinv, e_diag)
@@ -661,7 +632,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
             # rr holds the complementarity residuals on the blocks of pv
             q = rr / pw
             q1 = -e_d
-            q1[lo_at] -= q[lb]
+            q1 -= q[lb]
             q1[hi_at] += q[ub]
             rhs = a_hat @ (dinv * q1)
             rhs[:m_eq] += e_eq
@@ -670,7 +641,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
             dz = dinv * (q1 - a_hat_t @ dy_hat)
             dpv = np.empty(num_comp)
             dpv[wb] = -e_in - a_ub @ dz
-            dpv[lb] = dz[lo_at]
+            dpv[lb] = dz
             dpv[ub] = -dz[hi_at]
             # the duals in one pass; on the slack block the normal
             # equations' dw takes the place of that formula
@@ -685,7 +656,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
             dz, dy, dpv, ddv = newton_core(r_d, r_eq, r_in, rr)
             for _ in range(1 if mu > 1e-6 else 2):
                 e_d = a_ub_t @ ddv[wb] + a_eq_t @ dy
-                e_d[lo_at] -= ddv[lb]
+                e_d -= ddv[lb]
                 e_d[hi_at] += ddv[ub]
                 e_d += r_d
                 e_eq = r_eq + a_eq @ dz

@@ -28,15 +28,18 @@ from .capacity import capacity_matrix
 from .lp import LpResult, SolverOptions, StandardFormLP, check_kkt, solve
 from .network import CommoditySpec, Scenario, validate_weights
 
-# Epigraph variables are conceptually free.  Optimal epigraph values lie
-# in [0, 1] (injections are nonnegative and capacities are at most 1), so
-# any negative floor is inactive at an optimum and leaves values and duals
-# unchanged.  solve_mcfp never passes a zero-weight commodity, whose
-# epigraph value would sit on an unbounded optimal ray, but the floor
-# stays at this depth: the interior point starts one-sided variables one
-# unit above their bound, so the depth steers its endgame on degenerate
-# LPs (at -1 far fewer solves stall into the simplex), and changing it
-# moves the ascent trajectories that the benchmark's reference values pin.
+# Epigraph variables are conceptually free.  The objective pushes each
+# t_k up against its epigraph rows t_k <= a_s, so at an optimum t_k is the
+# smallest injection a_s over the sources of commodity k, which is
+# nonnegative (it is not bounded by 1: a source can send over all its
+# links).  Any negative floor is therefore inactive at an optimum and
+# leaves values and duals unchanged.  solve_mcfp never passes a
+# zero-weight commodity, whose epigraph value would sit on an unbounded
+# optimal ray, but the floor stays at this depth: the interior point
+# starts lower-only variables one unit above their bound, so the depth
+# steers its endgame on degenerate LPs (at -1 far fewer solves stall into
+# the simplex), and changing it moves the ascent trajectories that the
+# benchmark's reference values pin.
 _EPIGRAPH_FLOOR = -1e3
 # flows and injections at or below this are left out of flow_solution_to_dict
 _DROP_TOL = 1e-9

@@ -8,7 +8,9 @@ simplex over the equality form
 
     minimize f'x   s.t.   M x = rhs,   lb <= x <= ub
 
-obtained by appending one slack per inequality row.  Phase one drives
+obtained by appending one slack per inequality row.  Every column needs
+a finite lower bound, as every LP the interior point takes has; the
+simplex starts each one there.  Phase one drives
 artificial variables out of an identity basis; phase two optimizes the
 real objective.  Pricing is Dantzig by default and switches to Bland's
 rule after a run of degenerate pivots, which makes termination finite.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .lp import LpResult, SolverOptions, StandardFormLP
 
-_AT_LO, _AT_HI, _BASIC, _FREE0 = 0, 1, 2, 3
+_AT_LO, _AT_HI, _BASIC = 0, 1, 2
 _REFRESH_EVERY = 128
 _DEGENERATE_RUN = 30
 
@@ -60,6 +62,8 @@ def _build_equality_form(lp: StandardFormLP):
 def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
     """Solve the LP exactly with a two-phase bounded-variable simplex
     (``opts`` is accepted for the engine signature and not read)."""
+    if not np.isfinite(lp.lo).all():
+        raise ValueError("the simplex needs a finite lower bound on every column")
     n, m_in = lp.num_vars, lp.num_ineq
     mat, rhs, lb, ub, cost = _build_equality_form(lp)
     n_struct = lb.shape[0]
@@ -67,13 +71,12 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
 
     rc_tol = 1e-9 * (1.0 + float(np.max(np.abs(cost), initial=0.0)))
 
-    # start every structural variable on its lower bound, else on its
-    # upper bound, else (free) at 0; the artificials form the basis
-    has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
+    # start every structural variable on its lower bound; the artificials
+    # form the basis
     x = np.zeros(n_struct + m_rows)
-    x[:n_struct] = np.where(has_lb, lb, np.where(has_ub, ub, 0.0))
+    x[:n_struct] = lb
     status = np.full(n_struct + m_rows, _BASIC, dtype=np.int8)
-    status[:n_struct] = np.where(has_lb, _AT_LO, np.where(has_ub, _AT_HI, _FREE0))
+    status[:n_struct] = _AT_LO
 
     resid = rhs - mat[:, :n_struct] @ x[:n_struct]
     art_sign = np.where(resid >= 0.0, 1.0, -1.0)
@@ -109,8 +112,7 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
 
             eligible_lo = (status == _AT_LO) & (rc < -rc_tol) & (ub_full > lb_full)
             eligible_hi = (status == _AT_HI) & (rc > rc_tol)
-            eligible_fr = (status == _FREE0) & (np.abs(rc) > rc_tol)
-            any_mask = eligible_lo | eligible_hi | eligible_fr
+            any_mask = eligible_lo | eligible_hi
             if not np.any(any_mask):
                 return "optimal"
 
@@ -119,11 +121,11 @@ def solve_simplex(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> L
             else:
                 score = np.where(any_mask, np.abs(rc), 0.0)
                 enter = int(np.argmax(score))
-            sigma = 1.0 if (status[enter] == _AT_LO or (status[enter] == _FREE0 and rc[enter] < 0)) else -1.0
+            sigma = 1.0 if status[enter] == _AT_LO else -1.0
 
             d = b_inv @ mat[:, enter]
             # max step before a basic variable or the entering bound blocks
-            theta = ub_full[enter] - lb_full[enter] if status[enter] != _FREE0 else np.inf
+            theta = ub_full[enter] - lb_full[enter]
             # a falling basic variable blocks at its lower bound, a rising
             # one at its upper; ties within 1e-12 go to the lowest basis index
             xb = x[basis]

@@ -286,5 +286,7 @@ def test_backtracking_without_an_improving_step_stays_put_and_stops(monkeypatch,
 
 
 def test_finite_difference_rejects_bad_step(pair_scenario):
-    with pytest.raises(ValueError):
-        finite_difference_phi(pair_scenario, np.ones(2), h=0.0)
+    # a non-finite step is caught before it reaches the bumped scenario
+    for h in (0.0, -1e-4, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step h must be finite and positive"):
+            finite_difference_phi(pair_scenario, np.ones(2), h=h)

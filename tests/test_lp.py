@@ -137,6 +137,11 @@ def free_variable_lp():
     )
 
 
+def upper_only_lp():
+    """z1 has only an upper bound; the optimum z = (1, 1) has unique duals."""
+    return StandardFormLP(c=[1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], lo=[0.0, -np.inf], hi=[np.inf, 1.0])
+
+
 def test_free_variable_with_equalities(potrf_calls):
     lp = free_variable_lp()
     res = solve(lp)
@@ -208,7 +213,7 @@ def test_weak_duality_and_scipy_agreement():
 
 
 def test_bounded_random_lps_converge_in_the_interior_point():
-    # with a finite bound on every column, generic LPs stay in the interior
+    # with a finite lower bound on every column, generic LPs stay in the interior
     # point instead of going to the exact engine
     rng = np.random.default_rng(7)
     results = [solve_and_check_against_highs(random_feasible_lp(rng, low=-5.0)) for _ in range(30)]
@@ -218,7 +223,7 @@ def test_bounded_random_lps_converge_in_the_interior_point():
 def test_simplex_agrees_with_scipy():
     rng = np.random.default_rng(13)
     for _ in range(25):
-        lp = random_feasible_lp(rng)
+        lp = random_feasible_lp(rng, low=-5.0)
         ref = scipy_linprog_solve(lp)
         mine = solve_simplex(lp)
         if ref.status != "optimal":
@@ -226,6 +231,10 @@ def test_simplex_agrees_with_scipy():
         assert mine.optimal
         assert check_kkt(lp, mine).passed(1e-7)
         assert mine.objective == pytest.approx(ref.objective, abs=1e-7 * (1 + abs(ref.objective)))
+    # the simplex starts every column at its lower bound, so it takes no other
+    for lp in (free_variable_lp(), upper_only_lp()):
+        with pytest.raises(ValueError, match="finite lower bound"):
+            solve_simplex(lp)
 
 
 def test_solver_is_deterministic():
@@ -314,18 +323,15 @@ def boxed_lp(rng, n, m_in):
 
 
 def scattered_bounds_lp(rng, n=14, m_in=7, m_eq=2):
-    """A feasible, bounded LP whose lower- and upper-bounded columns form
-    non-contiguous masks; about a third of the columns have only an upper
-    bound and a third only a lower one.  The objective pulls each one-sided
-    column toward its bound, so the LP is bounded whatever the rows."""
-    kind = rng.permutation(np.arange(n) % 3)  # 0 boxed, 1 lower only, 2 upper only
-    lo = np.where(kind == 2, -np.inf, rng.uniform(-1.0, 0.0, n))
-    hi = np.where(kind == 1, np.inf, rng.uniform(1.0, 2.0, n))
-    z0 = np.where(kind == 0, 0.5 * (lo + hi), 0.0)
-    z0 = np.where(kind == 1, lo + rng.uniform(0.1, 2.0, n), z0)
-    z0 = np.where(kind == 2, hi - rng.uniform(0.1, 2.0, n), z0)
+    """A feasible, bounded LP whose boxed and lower-only columns, half of
+    each, are interleaved.  The objective pulls each lower-only column
+    toward its bound, so the LP is bounded whatever the rows."""
+    boxed = rng.permutation(np.arange(n) % 2 == 0)
+    lo = rng.uniform(-1.0, 0.0, n)
+    hi = np.where(boxed, rng.uniform(1.0, 2.0, n), np.inf)
+    z0 = np.where(boxed, 0.5 * (lo + hi), lo + rng.uniform(0.1, 2.0, n))
     c = rng.normal(size=n)
-    c = np.where(kind == 1, -np.abs(c), np.where(kind == 2, np.abs(c), c))
+    c = np.where(boxed, c, -np.abs(c))
     a = rng.normal(size=(m_in, n))
     g = rng.normal(size=(m_eq, n))
     b = a @ z0 + rng.uniform(0.1, 1.0, m_in)
@@ -333,13 +339,12 @@ def scattered_bounds_lp(rng, n=14, m_in=7, m_eq=2):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_interior_point_converges_with_scattered_and_upper_only_bounds(seed, monkeypatch):
-    # such masks take the index-array path of the stacked complementarity
-    # pairs (contiguous ones, as in every flow LP, take slices)
+def test_interior_point_converges_with_scattered_upper_bounds(seed, monkeypatch):
+    # the upper-bound block of the stacked complementarity pairs indexes
+    # columns with gaps between them
     lp = scattered_bounds_lp(np.random.default_rng(300 + seed))
-    form = lp_module._dense_form(lp)
-    assert isinstance(form.lo_at, np.ndarray) and isinstance(form.hi_at, np.ndarray)
-    assert (np.isinf(lp.lo) & np.isfinite(lp.hi)).any()
+    hi_at = lp_module._dense_form(lp).hi_at
+    assert 0 < hi_at.size < lp.num_vars and np.diff(hi_at).max() > 1
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the interior point handed the LP on")
@@ -352,7 +357,7 @@ def test_interior_point_converges_with_scattered_and_upper_only_bounds(seed, mon
     assert res.message == "converged"
     assert abs(res.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
     assert check_kkt(lp, res).passed(1e-6)
-    assert not res.z_lower[np.isinf(lp.lo)].any() and not res.z_upper[np.isinf(lp.hi)].any()
+    assert not res.z_upper[np.isinf(lp.hi)].any()
 
 
 class FakeBlas:
@@ -604,7 +609,9 @@ def test_lps_above_the_threshold_go_to_highs_ipm_alone(monkeypatch, linprog_meth
     assert_goes_to_highs_ipm_alone(boxed_lp(np.random.default_rng(3), 8, 5), monkeypatch, linprog_methods)
 
 
-@pytest.mark.parametrize("make_lp", [box_only_lp, free_variable_lp], ids=["rowless", "free-column"])
+@pytest.mark.parametrize(
+    "make_lp", [box_only_lp, free_variable_lp, upper_only_lp], ids=["rowless", "free-column", "upper-only-column"]
+)
 def test_lps_without_rows_or_with_a_free_column_go_to_highs_ipm_alone(monkeypatch, linprog_methods, make_lp):
     lp = make_lp()
     assert lp.num_vars * (lp.num_ineq + lp.num_eq) <= lp_module._DENSE_MAX_ENTRIES

@@ -600,6 +600,33 @@ def test_phi_is_homogeneous_monotone_and_blind_to_relay_order(model, engine):
     check()
 
 
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_phi_is_blind_to_task_order(model, engine):
+    # relabeling the task agents changes nothing when each commodity and
+    # its weight move with the task that sinks it
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    opts = SolverOptions(engine=engine)
+
+    @hyp.settings(**PROPERTY_SETTINGS)
+    @hyp.given(inst=flow_instances(st, model), order=st.permutations(range(3)))
+    def check(inst, order):
+        phi = solve_mcfp(inst, opts).phi
+        num_task = inst.num_agents - len(inst.relay_set)
+        tasks = [k for k in order if k < num_task]  # new task label -> old one
+        perm = np.r_[tasks, np.arange(num_task, inst.num_agents)]
+        label = np.argsort(perm)  # old agent label -> new one
+        # commodity k sinks at task k, so old commodity tasks[k] becomes commodity k
+        commodities = [inst.commodities[k] for k in tasks]
+        commodities = tuple(CommoditySpec(label[com.sink], label[list(com.sources)]) for com in commodities)
+        assert commodities == default_commodities(num_task)
+        cap = inst.capacities[np.ix_(perm, perm)]
+        relabeled = McfpInstance(cap, commodities, inst.weights[tasks], inst.relay_set)
+        assert abs(solve_mcfp(relabeled, opts).phi - phi) <= 1e-8 * (1.0 + abs(phi))
+
+    check()
+
+
 def test_flow_solution_json_shape(bridge_scenario):
     inst = build_instance(bridge_scenario, [1.0, 1.0])
     sol = solve_mcfp(inst)
@@ -693,7 +720,7 @@ def test_a_later_solve_leaves_an_earlier_lp_unchanged(model):
 def test_shared_layout_arrays_reject_writes(model):
     lp, index = build_lp(mobile_layout_pair(model)[0])
     dense = [arr for arr in lp._dense if isinstance(arr, np.ndarray)]
-    assert len(dense) >= 6  # a_ub, a_eq, a_hat, the finite bounds and the start
+    assert len(dense) >= 4  # a_hat, the upper-bounded columns, their bounds and the start
     shared = [lp.lo, lp.hi, lp.b_eq, lp.a_ub.data, lp.a_ub.indices, lp.a_ub.indptr, lp.a_eq.data]
     shared += [index.pair_i, index.pair_j, index.src_k, index.src_i, index.relays, *dense]
     for arr in shared:
