@@ -72,9 +72,9 @@ _STABLE_MU_RTOL = 1e-3
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outputs, timings):
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "parameters": {
-            k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
+            k: v for k, v in sorted(vars(args).items()) if k not in ("func", "argv")
         },
         "outputs": outputs,
         "version": __version__,
@@ -406,6 +406,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code) if exc.code is not None else EXIT_INPUT
+    args.argv = sys.argv[1:] if argv is None else list(argv)  # for the manifest
     try:
         return args.func(args)
     except ValueError as exc:  # includes ScenarioFormatError

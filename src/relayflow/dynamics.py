@@ -9,6 +9,7 @@ anything moves, so a run is fully reproducible from its seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +55,7 @@ class MotionConfig:
                 raise ValueError(f"{name} cannot be negative")
         if self.box_size is not None and self.box_size <= 0:
             raise ValueError("box_size must be positive")
-        if any(index < 0 for index in self.pinned_tasks):
+        if any(operator.index(index) < 0 for index in self.pinned_tasks):
             raise ValueError("pinned task indices cannot be negative")
 
     @property

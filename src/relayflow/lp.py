@@ -718,12 +718,13 @@ def scipy_linprog_solve(lp: StandardFormLP, opts: Optional[SolverOptions] = None
     Satisfies the same contract as the in-repo engine, including the
     maximization dual conventions, so it can be swapped in through
     ``SolverOptions.engine`` or used as an independent cross-check.
+    Its primal feasibility is held to ``_TARGET``: HiGHS's 1e-7 is coarse on weak links.
     """
-    return _highs(lp, "highs")
+    return _highs(lp, "highs", primal_feasibility_tolerance=_TARGET)
 
 
-def _highs(lp: StandardFormLP, method: str) -> LpResult:
-    """Solve with HiGHS through scipy.optimize.linprog's ``method``."""
+def _highs(lp: StandardFormLP, method: str, **options) -> LpResult:
+    """Solve with HiGHS through scipy.optimize.linprog's ``method`` and ``options``."""
     from scipy.optimize import linprog
 
     res = linprog(
@@ -735,6 +736,7 @@ def _highs(lp: StandardFormLP, method: str) -> LpResult:
         # linprog reads infinite bounds as absent ones
         bounds=np.column_stack([lp.lo, lp.hi]),
         method=method,
+        options=options,
     )
     status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(
         res.status, "numerical"

@@ -3,11 +3,11 @@
 The team utility of an agent configuration is the optimal value of a
 flow problem on the complete directed graph over the agents: each
 commodity k is consumed by task agent k and injected by its source
-agents, relay agents conserve every commodity, and the total flow on a
-directed edge is capped by the pairwise link capacity.  The objective
-is a weighted sum over commodities of the smallest injection among the
-commodity's sources, linearized with one epigraph variable per
-commodity.
+agents, every other agent (a relay, or a task agent outside the
+commodity) conserves it, and the total flow on a directed edge is
+capped by the pairwise link capacity.  The objective is a weighted sum
+over commodities of the smallest injection among the commodity's
+sources, linearized with one epigraph variable per commodity.
 
 The capacity rows are kept verbatim, one per ordered pair, so their
 duals are exactly the shadow prices the ascent direction needs.
@@ -56,7 +56,6 @@ class McfpInstance:
     capacities: np.ndarray
     commodities: tuple[CommoditySpec, ...]
     weights: np.ndarray
-    relay_set: tuple[int, ...]
 
     def __post_init__(self) -> None:
         c = np.asarray(self.capacities, dtype=float)
@@ -72,13 +71,10 @@ class McfpInstance:
         self.capacities = c
         self.commodities = tuple(self.commodities)
         self.weights = validate_weights(self.weights, len(self.commodities))
-        self.relay_set = tuple(sorted(int(i) for i in self.relay_set))
         n = c.shape[0]
         for k, com in enumerate(self.commodities):
             if max((com.sink, *com.sources)) >= n:
                 raise ValueError(f"commodity {k} references agent outside the graph")
-        if self.relay_set and (min(self.relay_set) < 0 or max(self.relay_set) >= n):
-            raise ValueError("relay indices out of range")
 
     @property
     def num_agents(self) -> int:
@@ -89,13 +85,13 @@ class McfpInstance:
         return len(self.commodities)
 
     def with_capacities(self, new_c: np.ndarray) -> "McfpInstance":
-        return McfpInstance(new_c, self.commodities, self.weights, self.relay_set)
+        return McfpInstance(new_c, self.commodities, self.weights)
 
 
 def build_instance(scenario: Scenario, weights) -> McfpInstance:
     """Evaluate all pairwise capacities and bundle the commodity data."""
     c = capacity_matrix(scenario.capacity_model, scenario.positions())
-    return McfpInstance(c, scenario.commodities, weights, scenario.relay_indices())
+    return McfpInstance(c, scenario.commodities, weights)
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,10 @@ class McfpIndexMap:
     """Column and row layout of the flow LP, as index arrays.
 
     Pairs p are the N(N-1) ordered pairs ``(pair_i[p], pair_j[p])`` in
-    row-major order; entries s are the (commodity, source) pairs
-    ``(src_k[s], src_i[s])`` in commodity-major order; ``relays`` is
-    sorted.  With K commodities, P pairs, S entries and R relays:
+    row-major order.  Entries s are the (commodity, source) pairs
+    ``(src_k[s], src_i[s])``, entries q the pairs ``(cons_k[q], cons_i[q])``
+    of each commodity and each agent outside it, both commodity-major.
+    With K commodities, P pairs and S source entries:
 
     - columns: ``p*K + k`` flow of commodity k on pair p, in [0, 1];
       ``a_col0 + s`` (a_col0 = P*K) injection of entry s, nonnegative;
@@ -114,8 +111,8 @@ class McfpIndexMap:
     - inequality rows: ``s`` epigraph row t_k - a_s <= 0; ``S + s``
       injection row a_s - (net outflow of k at i) <= 0; ``cap_row0 + p``
       (cap_row0 = 2S) capacity row, total flow on p <= C_p;
-    - equality rows: ``k*R + q`` conservation of commodity k at relay
-      ``relays[q]``, net outflow = 0.
+    - equality rows: ``q`` conservation of commodity ``cons_k[q]`` at
+      agent ``cons_i[q]``, net outflow = 0.
     """
 
     num_agents: int
@@ -124,7 +121,8 @@ class McfpIndexMap:
     pair_j: np.ndarray
     src_k: np.ndarray
     src_i: np.ndarray
-    relays: np.ndarray
+    cons_k: np.ndarray
+    cons_i: np.ndarray
 
     @property
     def num_pairs(self) -> int:
@@ -148,11 +146,15 @@ class McfpIndexMap:
         return pair * self.num_commodities + k
 
 
-def _source_entries(commodities) -> tuple[np.ndarray, np.ndarray]:
-    """``(src_k, src_i)``: the (commodity, source) pairs in commodity-major order."""
+def _entries(commodities, n: int):
+    """``(src_k, src_i), (cons_k, cons_i)``: each commodity's sources, and each
+    of the ``n`` agents that is neither its sink nor a source; commodity-major."""
     src_k = np.repeat(np.arange(len(commodities)), [len(com.sources) for com in commodities])
     src_i = np.fromiter(chain.from_iterable(com.sources for com in commodities), dtype=int)
-    return src_k, src_i
+    outside = np.ones((len(commodities), n), dtype=bool)
+    outside[src_k, src_i] = False
+    outside[np.arange(len(commodities)), np.array([com.sink for com in commodities], dtype=int)] = False
+    return (src_k, src_i), np.nonzero(outside)
 
 
 def _net_outflow(index: McfpIndexMap, nodes: np.ndarray, ks: np.ndarray):
@@ -172,12 +174,12 @@ def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
     """Emit the flow LP in standard form, in the layout :class:`McfpIndexMap` states.
 
     The layout (constraint matrices, bounds, index map and the dense
-    arrays of the interior point) depends only on the number of agents,
-    the commodities and the relay set, so it is built once per layout
-    and shared, read-only, by every LP of that layout.  Each call makes
-    a fresh objective (the weights) and capacity right-hand side.
+    arrays of the interior point) depends only on the number of agents
+    and the commodities, so it is built once per layout and shared,
+    read-only, by every LP of that layout.  Each call makes a fresh
+    objective (the weights) and capacity right-hand side.
     """
-    template, index = _layout(inst.num_agents, inst.commodities, inst.relay_set)
+    template, index = _layout(inst.num_agents, inst.commodities)
     c_obj = np.zeros(template.num_vars)
     c_obj[index.t_col0 :] = inst.weights
     b_ub = np.zeros(template.num_ineq)
@@ -188,13 +190,12 @@ def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
 # layouts kept for re-solving: an ascent or a mission re-solves one layout
 # (the positive-weight commodities of one team) at every step or tick
 @functools.lru_cache(maxsize=8)
-def _layout(n: int, commodities: tuple, relay_set: tuple) -> tuple[StandardFormLP, McfpIndexMap]:
+def _layout(n: int, commodities: tuple) -> tuple[StandardFormLP, McfpIndexMap]:
     """The frozen flow LP of a layout, with zero objective and capacities."""
     num_k = len(commodities)
     pair_i, pair_j = np.nonzero(~np.eye(n, dtype=bool))
-    src_k, src_i = _source_entries(commodities)
-    relays = np.asarray(relay_set, dtype=int)
-    index = McfpIndexMap(n, num_k, pair_i, pair_j, src_k, src_i, relays)
+    (src_k, src_i), (cons_k, cons_i) = _entries(commodities, n)
+    index = McfpIndexMap(n, num_k, pair_i, pair_j, src_k, src_i, cons_k, cons_i)
     num_s, num_p = src_k.size, pair_i.size
     num_vars = index.t_col0 + num_k
     s = np.arange(num_s)
@@ -208,11 +209,8 @@ def _layout(n: int, commodities: tuple, relay_set: tuple) -> tuple[StandardFormL
         shape=(index.cap_row0 + num_p, num_vars),
     )
 
-    num_eq = num_k * relays.size
-    m, flow_cols, flow_vals = _net_outflow(
-        index, np.tile(relays, num_k), np.repeat(np.arange(num_k), relays.size)
-    )
-    a_eq = sp.csr_matrix((flow_vals, (m, flow_cols)), shape=(num_eq, num_vars))
+    m, flow_cols, flow_vals = _net_outflow(index, cons_i, cons_k)
+    a_eq = sp.csr_matrix((flow_vals, (m, flow_cols)), shape=(cons_k.size, num_vars))
 
     lo = np.zeros(num_vars)
     hi = np.ones(num_vars)
@@ -221,9 +219,9 @@ def _layout(n: int, commodities: tuple, relay_set: tuple) -> tuple[StandardFormL
 
     lp = StandardFormLP(
         c=np.zeros(num_vars), a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), a_eq=a_eq,
-        b_eq=np.zeros(num_eq), lo=lo, hi=hi,
+        b_eq=np.zeros(cons_k.size), lo=lo, hi=hi,
     )
-    for arr in (pair_i, pair_j, src_k, src_i, relays):
+    for arr in (pair_i, pair_j, src_k, src_i, cons_k, cons_i):
         arr.flags.writeable = False
     return lp.freeze(), index
 
@@ -243,7 +241,7 @@ class FlowSolution:
     a: np.ndarray  # (K, N) injections, nonzero only at sources
     t: np.ndarray  # (K,) epigraph values
     lam: np.ndarray  # (K, N) injection-row duals
-    nu: np.ndarray  # (K, N) relay-conservation duals
+    nu: np.ndarray  # (K, N) conservation duals, zero at each commodity's sink and sources
     mu: np.ndarray  # (N, N) capacity shadow prices
     gap: float
     status: str
@@ -319,7 +317,7 @@ def solve_mcfp(inst: McfpInstance, opts: Optional[SolverOptions] = None) -> Flow
     sol.a[sources] = x[index.a_col0 : index.t_col0]
     sol.t[keep] = x[index.t_col0 :]
     sol.lam[sources] = y_ineq[index.src_k.size : index.cap_row0]
-    sol.nu[keep[:, None], index.relays] = result.y_eq.reshape(keep.size, index.relays.size)
+    sol.nu[keep[index.cons_k], index.cons_i] = result.y_eq
     sol.mu[index.pair_i, index.pair_j] = y_ineq[index.cap_row0 :]
     sol.phi, sol.gap, sol.status = float(result.objective), float(result.gap), result.status
     sol.iterations, sol.lp, sol.lp_result = result.iterations, lp, result
@@ -369,19 +367,18 @@ class VerificationReport:
 def verify_solution(inst: McfpInstance, sol: FlowSolution) -> VerificationReport:
     """Recompute feasibility, optimality and shadow-price hygiene residuals.
 
-    Primal feasibility is evaluated directly on the solution arrays
-    (flows, injections, epigraph values), so a hand-edited solution is
-    caught regardless of what the solver reported.  Stationarity and
-    the duality gap come from the KKT check of the underlying LP pair
-    when it is attached.
+    Primal feasibility is evaluated directly on the solution arrays, so
+    a hand-edited solution, or flow absorbed by an agent outside its
+    commodity, is caught regardless of what the solver reported.
+    Stationarity and the duality gap come from the KKT check of the
+    underlying LP pair when it is attached.
     """
     total_flow = sol.r.sum(axis=2)
     slack = inst.capacities - total_flow
     off_diag = ~np.eye(inst.num_agents, dtype=bool)
 
     net_out = sol.r.sum(axis=1) - sol.r.sum(axis=0)  # (N, K): net outflow per node
-    relays = np.asarray(inst.relay_set, dtype=int)
-    src_k, src_i = _source_entries(inst.commodities)
+    (src_k, src_i), (cons_k, cons_i) = _entries(inst.commodities, inst.num_agents)
     a_src = sol.a[src_k, src_i]
     # np.max, not max, so a NaN term is kept wherever it stands; + 0.0 turns
     # the -0.0 that np.max(-x) gives over zeros into 0.0
@@ -390,7 +387,7 @@ def verify_solution(inst: McfpInstance, sol: FlowSolution) -> VerificationReport
         float(np.max(-sol.r, initial=0.0)),  # flow bounds
         float(np.max(sol.r - 1.0, initial=0.0)),
         float(np.max(-sol.a, initial=0.0)),  # injections nonnegative
-        float(np.max(np.abs(net_out[relays]), initial=0.0)),  # relays conserve flow
+        float(np.max(np.abs(net_out[cons_i, cons_k]), initial=0.0)),  # agents outside a commodity conserve it
         float(np.max(a_src - net_out[src_i, src_k], initial=0.0)),  # injection bounded by net outflow
         float(np.max(sol.t[src_k] - a_src, initial=0.0)),  # epigraph feasibility
     ])) + 0.0

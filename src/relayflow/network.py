@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -30,9 +31,9 @@ class CommoditySpec:
     sources: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sources = tuple(sorted(set(int(i) for i in self.sources)))
+        sources = tuple(sorted(set(operator.index(i) for i in self.sources)))
         object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "sink", int(self.sink))
+        object.__setattr__(self, "sink", operator.index(self.sink))
         if not sources:
             raise ValueError("commodity needs at least one source")
         if self.sink in sources:
@@ -84,9 +85,6 @@ class Scenario:
     def positions(self) -> np.ndarray:
         """All agent positions stacked task-first, shape (N, 2)."""
         return np.vstack([self.task_positions, self.relay_positions.reshape(-1, 2)])
-
-    def relay_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.num_task, self.num_agents))
 
     def with_relay_positions(self, new_positions: np.ndarray) -> "Scenario":
         moved = replace(self, relay_positions=new_positions)

@@ -49,15 +49,20 @@ def test_exit_codes_are_distinct():
     assert len(codes) == 5
 
 
-def test_spawn_writes_scenario_and_manifest(tmp_path):
+def test_spawn_writes_scenario_and_manifest(tmp_path, monkeypatch):
     out = tmp_path / "sp"
-    assert main(["spawn", "--num-task", "3", "--num-relay", "1", "--seed", "4", "--out", str(out)]) == EXIT_OK
+    # the manifest records the command line main parsed, not the host's
+    monkeypatch.setattr("sys.argv", ["host", "--flag"])
+    argv = ["spawn", "--num-task", "3", "--num-relay", "1", "--seed", "4", "--out", str(out)]
+    assert main(argv) == EXIT_OK
     doc = json.loads((out / "scenario.json").read_text())
     assert len(doc["task_agents"]) == 3
     assert len(doc["relay_agents"]) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "spawn"
     assert manifest["version"]
+    assert manifest["argv"] == argv
+    assert "argv" not in manifest["parameters"]
 
 
 def test_spawn_team5x4_preset_spawns_five_tasks_and_four_relays(tmp_path):
@@ -135,6 +140,17 @@ def test_relay_row_of_four_numbers_is_input_error(tmp_path, pair_file, capsys):
     rc = main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert rc == EXIT_INPUT
     assert "relay positions must have shape (R, 2)" in capsys.readouterr().err
+
+
+def test_agent_index_that_is_not_an_integer_is_input_error(tmp_path, pair_file, capsys):
+    doc = json.loads(pair_file.read_text())
+    doc["commodities"][0]["sources"] = "1"  # a string, not a list of agent indices
+    bad = tmp_path / "string.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["solve", "--scenario", str(bad), "--out", str(out)]) == EXIT_INPUT
+    assert "cannot be interpreted as an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

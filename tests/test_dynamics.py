@@ -28,6 +28,8 @@ def test_motion_config_validation():
         MotionConfig(box_size=0.0)
     with pytest.raises(ValueError, match="negative"):
         MotionConfig(pinned_tasks=(-1,))
+    with pytest.raises(TypeError):
+        MotionConfig(pinned_tasks=(0.5,))
     with pytest.raises(ValueError, match="accel_std"):
         MotionConfig(accel_std=-0.01)
     with pytest.raises(ValueError, match="duration"):

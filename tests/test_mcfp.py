@@ -16,6 +16,7 @@ from relayflow import (
     build_lp,
     default_commodities,
     flow_solution_to_dict,
+    gradient_from_duals,
     scipy_linprog_solve,
     solve_mcfp,
     spawn_scenario,
@@ -37,7 +38,8 @@ def oracle_phi(inst):
     """Independent optimum: a from-scratch dense LP build solved by scipy.
 
     Variable order and constraint assembly are deliberately different
-    from the production construction.
+    from the production construction.  Commodity k is conserved at every
+    agent that is neither its sink nor one of its sources.
     """
     n = inst.num_agents
     num_k = inst.num_commodities
@@ -85,8 +87,10 @@ def oracle_phi(inst):
         rhs_ub.append(inst.capacities[i, j])
 
     rows_eq = []
-    for k in range(num_k):
-        for i in inst.relay_set:
+    for k, com in enumerate(inst.commodities):
+        for i in range(n):
+            if i == com.sink or i in com.sources:
+                continue
             row = np.zeros(nv)
             for j in range(n):
                 if j != i:
@@ -280,7 +284,7 @@ def test_relay_conservation_and_capacity_respect(model):
     sol = solve_mcfp(inst)
     out_flow = sol.r.sum(axis=1)
     in_flow = sol.r.sum(axis=0)
-    for i in inst.relay_set:
+    for i in range(scenario.num_task, inst.num_agents):
         np.testing.assert_allclose(out_flow[i], in_flow[i], atol=1e-6)
     assert np.all(sol.r.sum(axis=2) <= inst.capacities + 1e-6)
 
@@ -307,7 +311,6 @@ def _asym_instance(inst, c_new):
     bumped.capacities = c_new
     bumped.commodities = inst.commodities
     bumped.weights = inst.weights
-    bumped.relay_set = inst.relay_set
     return bumped
 
 
@@ -325,6 +328,15 @@ def test_duals_predict_capacity_sensitivity(two_agents_unit):
     predicted = sol.mu[i, j] * h
     actual = lifted.phi - sol.phi
     assert actual == pytest.approx(predicted, rel=0.1)
+
+
+def bystander_scenario(model):
+    """Tasks at (0, 0), (5, 0) and (5.1, 0); one commodity from task 1 to
+    task 0, which task 2 is outside of."""
+    return Scenario(
+        np.array([[0.0, 0.0], [5.0, 0.0], [5.1, 0.0]]), np.zeros((0, 2)), model,
+        (CommoditySpec(sink=0, sources=(1,)),),
+    )
 
 
 def test_oracle_equivalence_small_instances(model):
@@ -379,27 +391,51 @@ def test_oracle_equivalence_small_instances(model):
             np.ones(1),
         ),
     ]
+    bystander = bystander_scenario(model)
+    weighted.append((bystander, np.ones(1)))
     for scenario, weights in weighted:
         assert scenario.num_agents <= 4
         inst = build_instance(scenario, weights)
         sol = solve_mcfp(inst)
         assert sol.phi == pytest.approx(oracle_phi(inst), abs=1e-5)
+    # task 2 only forwards commodity 0: sink 0 gets at most C10 + min(C12, C20),
+    # however wide the link from source 1 to task 2
+    inst = build_instance(bystander, np.ones(1))
+    cap = inst.capacities
+    for engine in ENGINES:
+        phi = solve_mcfp(inst, SolverOptions(engine=engine)).phi
+        assert abs(phi - (cap[1, 0] + min(cap[1, 2], cap[2, 0]))) <= 1e-9, engine
+
+
+def test_verify_fails_flow_absorbed_by_a_task_outside_its_commodity(model):
+    # source 1 injects 0.5 of commodity 0 and sends it to task 2, which is
+    # neither the sink nor a source; every other row holds
+    inst = build_instance(bystander_scenario(model), np.ones(1))
+    r = np.zeros((3, 3, 1))
+    r[1, 2, 0] = 0.5
+    a = np.zeros((1, 3))
+    a[0, 1] = 0.5
+    absorbed = mcfp_module.FlowSolution(
+        phi=0.5, r=r, a=a, t=np.full(1, 0.5), lam=np.zeros((1, 3)), nu=np.zeros((1, 3)),
+        mu=np.zeros((3, 3)), gap=0.0, status="optimal", iterations=0,
+    )
+    report = verify_solution(inst, absorbed)
+    assert not report.passed
+    assert report.primal_residual == pytest.approx(0.5)
 
 
 def _reduced_costs(inst, sol):
     """rc[i, j, k] of every flow column, priced by the returned duals.
 
     The potential of agent i for commodity k is its injection-row dual
-    if i is a source of k, minus its conservation dual if i is a relay;
-    a column's reduced cost is the potential drop along (i, j) minus the
-    capacity price mu_ij.
+    if i is a source of k, minus its conservation dual (zero at the sink
+    and the sources of k); a column's reduced cost is the potential drop
+    along (i, j) minus the capacity price mu_ij.
     """
-    n = inst.num_agents
-    is_source = np.zeros((inst.num_commodities, n))
+    is_source = np.zeros((inst.num_commodities, inst.num_agents))
     for k, com in enumerate(inst.commodities):
         is_source[k, list(com.sources)] = 1.0
-    is_relay = np.isin(np.arange(n), inst.relay_set)
-    pot = (sol.lam * is_source - sol.nu * is_relay).T  # (N, K)
+    pot = (sol.lam * is_source - sol.nu).T  # (N, K)
     return pot[:, None, :] - pot[None, :, :] - sol.mu[:, :, None]
 
 
@@ -511,23 +547,29 @@ def test_engines_agree_on_random_and_degenerate_scenarios(model):
     check()
 
 
-def flow_instances(st, model):
-    """Flow instances of 2-3 task agents and 1-3 relays, placed freely or on
-    a 0.5 grid (coincident agents, symmetric layouts), weights in {0, 0.5, 1}."""
+def flow_scenarios(st, model):
+    """``(scenario, weights)`` of 2-3 task agents and 1-3 relays, placed freely
+    or on a 0.5 grid (coincident agents, symmetric layouts), with default
+    commodities and weights in {0, 0.5, 1}."""
     coord = st.one_of(
         st.floats(0.0, 2.5, allow_nan=False),
         st.sampled_from([0.5 * step for step in range(6)]),
     )
 
     @st.composite
-    def instances(draw):
+    def scenarios(draw):
         num_task, num_relay = draw(st.integers(2, 3)), draw(st.integers(1, 3))
         pts = np.reshape(draw(st.lists(coord, min_size=12, max_size=12)), (-1, 2))[: num_task + num_relay]
         scenario = Scenario(pts[:num_task], pts[num_task:], model, default_commodities(num_task))
         weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=num_task, max_size=num_task))
-        return build_instance(scenario, weights)
+        return scenario, weights
 
-    return instances()
+    return scenarios()
+
+
+def flow_instances(st, model):
+    """The flow instances of :func:`flow_scenarios`."""
+    return flow_scenarios(st, model).map(lambda drawn: build_instance(*drawn))
 
 
 def symmetric(num_agents, upper):
@@ -592,10 +634,41 @@ def test_phi_is_homogeneous_monotone_and_blind_to_relay_order(model, engine):
         assert abs(solve_mcfp(inst.with_capacities(scale * cap), opts).phi - scale * phi) <= tol
         grown = np.minimum(cap + 10.0**exponent * symmetric(inst.num_agents, upper), 1.0)
         assert solve_mcfp(inst.with_capacities(grown), opts).phi >= phi - tol
-        num_task = inst.num_agents - len(inst.relay_set)
+        num_task = inst.num_commodities  # one default commodity per task
         relays = [num_task + q for q in order if num_task + q < inst.num_agents]
         perm = np.r_[np.arange(num_task), relays]
         assert abs(solve_mcfp(inst.with_capacities(cap[np.ix_(perm, perm)]), opts).phi - phi) <= tol
+
+    check()
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_relay_moves_gain_no_more_than_the_dual_gradient_predicts(model, engine):
+    # chain rule: mu is a supergradient of phi(C), and each rate exp(-|p_i - p_j|^2)
+    # has a Hessian of norm at most 2 while a link moves by at most sqrt(2) h
+    # along a unit relay direction d, so phi(x + h d) <= phi(x) + h g.d +
+    # 2 h^2 sum(mu) for the g that gradient_from_duals builds at x
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    opts = SolverOptions(engine=engine)
+
+    @hyp.settings(**PROPERTY_SETTINGS)
+    @hyp.given(
+        drawn=flow_scenarios(st, model),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        exponent=st.floats(-6.0, -1.0),
+    )
+    def check(drawn, direction, exponent):
+        scenario, weights = drawn
+        d = np.reshape(direction[: 2 * scenario.num_relay], (-1, 2))
+        hyp.assume(np.linalg.norm(d) > 1e-3)
+        d = d / np.linalg.norm(d)
+        h = 10.0**exponent
+        sol = solve_mcfp(build_instance(scenario, weights), opts)
+        slope = float(np.sum(gradient_from_duals(sol, scenario) * d))
+        bound = sol.phi + h * slope + 2.0 * h * h * float(np.sum(sol.mu))
+        moved = scenario.with_relay_positions(scenario.relay_positions + h * d)
+        assert solve_mcfp(build_instance(moved, weights), opts).phi <= bound + 1e-8 * (1.0 + abs(sol.phi))
 
     check()
 
@@ -612,7 +685,7 @@ def test_phi_is_blind_to_task_order(model, engine):
     @hyp.given(inst=flow_instances(st, model), order=st.permutations(range(3)))
     def check(inst, order):
         phi = solve_mcfp(inst, opts).phi
-        num_task = inst.num_agents - len(inst.relay_set)
+        num_task = inst.num_commodities  # one default commodity per task
         tasks = [k for k in order if k < num_task]  # new task label -> old one
         perm = np.r_[tasks, np.arange(num_task, inst.num_agents)]
         label = np.argsort(perm)  # old agent label -> new one
@@ -621,7 +694,7 @@ def test_phi_is_blind_to_task_order(model, engine):
         commodities = tuple(CommoditySpec(label[com.sink], label[list(com.sources)]) for com in commodities)
         assert commodities == default_commodities(num_task)
         cap = inst.capacities[np.ix_(perm, perm)]
-        relabeled = McfpInstance(cap, commodities, inst.weights[tasks], inst.relay_set)
+        relabeled = McfpInstance(cap, commodities, inst.weights[tasks])
         assert abs(solve_mcfp(relabeled, opts).phi - phi) <= 1e-8 * (1.0 + abs(phi))
 
     check()
@@ -641,18 +714,16 @@ def test_flow_solution_json_shape(bridge_scenario):
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        McfpInstance(np.array([[0.0, 2.0], [2.0, 0.0]]), default_commodities(2), [1, 1], ())
+        McfpInstance(np.array([[0.0, 2.0], [2.0, 0.0]]), default_commodities(2), [1, 1])
     with pytest.raises(ValueError):
-        McfpInstance(np.array([[0.0, 0.5], [0.4, 0.0]]), default_commodities(2), [1, 1], ())
+        McfpInstance(np.array([[0.0, 0.5], [0.4, 0.0]]), default_commodities(2), [1, 1])
     with pytest.raises(ValueError):
-        McfpInstance(np.array([[0.1, 0.5], [0.5, 0.1]]), default_commodities(2), [1, 1], ())
+        McfpInstance(np.array([[0.1, 0.5], [0.5, 0.1]]), default_commodities(2), [1, 1])
     caps = np.array([[0.0, 0.5], [0.5, 0.0]])
     with pytest.raises(ValueError, match="square"):
-        McfpInstance(np.zeros((2, 3)), default_commodities(2), [1, 1], ())
+        McfpInstance(np.zeros((2, 3)), default_commodities(2), [1, 1])
     with pytest.raises(ValueError, match="references agent outside the graph"):
-        McfpInstance(caps, default_commodities(3), [1, 1, 1], ())
-    with pytest.raises(ValueError, match="relay indices"):
-        McfpInstance(caps, default_commodities(2), [1, 1], (2,))
+        McfpInstance(caps, default_commodities(3), [1, 1, 1])
 
 
 @pytest.mark.parametrize("c01, c10, symmetric", [
@@ -665,10 +736,10 @@ def test_instance_validation():
 def test_instance_symmetry_tolerance(c01, c10, symmetric):
     caps = np.array([[0.0, c01], [c10, 0.0]])
     if symmetric:
-        McfpInstance(caps, default_commodities(2), [1, 1], ())
+        McfpInstance(caps, default_commodities(2), [1, 1])
     else:
         with pytest.raises(ValueError, match="symmetric"):
-            McfpInstance(caps, default_commodities(2), [1, 1], ())
+            McfpInstance(caps, default_commodities(2), [1, 1])
 
 
 def mobile_layout_pair(model):
@@ -722,7 +793,7 @@ def test_shared_layout_arrays_reject_writes(model):
     dense = [arr for arr in lp._dense if isinstance(arr, np.ndarray)]
     assert len(dense) >= 4  # a_hat, the upper-bounded columns, their bounds and the start
     shared = [lp.lo, lp.hi, lp.b_eq, lp.a_ub.data, lp.a_ub.indices, lp.a_ub.indptr, lp.a_eq.data]
-    shared += [index.pair_i, index.pair_j, index.src_k, index.src_i, index.relays, *dense]
+    shared += [index.pair_i, index.pair_j, index.src_k, index.src_i, index.cons_k, index.cons_i, *dense]
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
@@ -742,16 +813,19 @@ def test_replaced_bounds_are_not_solved_on_the_cached_layout(model):
     assert build_lp(mobile_layout_pair(model)[0])[0].hi.max() == np.inf
 
 
-def test_relay_and_commodity_sets_get_their_own_layouts(bridge_scenario):
+def test_agent_and_commodity_sets_get_their_own_layouts(bridge_scenario):
     inst = build_instance(bridge_scenario, [1.0, 2.0])
     lp, index = build_lp(inst)
     same_lp, same_index = build_lp(inst.with_capacities(0.5 * inst.capacities))
     assert same_lp.a_ub is lp.a_ub and same_index is index
-    no_relay = McfpInstance(inst.capacities, inst.commodities, inst.weights, ())
-    one_commodity = McfpInstance(inst.capacities, inst.commodities[:1], inst.weights[:1], inst.relay_set)
+    tasks_only = dataclasses.replace(bridge_scenario, relay_positions=np.zeros((0, 2)))
+    no_relay = build_instance(tasks_only, inst.weights)
+    one_commodity = McfpInstance(inst.capacities, inst.commodities[:1], inst.weights[:1])
     for other in (no_relay, one_commodity):
         other_lp, other_index = build_lp(other)
         assert other_lp.a_ub is not lp.a_ub and other_index is not index
-        assert other_lp.num_eq == other.num_commodities * len(other.relay_set)
+        # one conservation row per (commodity, agent neither its sink nor a source)
+        outside = sum(other.num_agents - 1 - len(com.sources) for com in other.commodities)
+        assert other_lp.num_eq == outside
         assert solve_mcfp(other).phi == pytest.approx(oracle_phi(other), abs=1e-7)
     assert solve_mcfp(inst).phi == pytest.approx(oracle_phi(inst), abs=1e-7)

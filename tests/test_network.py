@@ -46,6 +46,12 @@ def test_commodity_validation():
         CommoditySpec(sink=1, sources=(1, 2))
     with pytest.raises(ValueError):
         CommoditySpec(sink=-1, sources=(0,))
+    # agent indices are integers, never truncated
+    with pytest.raises(TypeError):
+        CommoditySpec(sink=0.9, sources=(1, 2))
+    with pytest.raises(TypeError):
+        CommoditySpec(sink=0, sources=(1.7, 2.2))
+    assert CommoditySpec(sink=np.int64(0), sources=np.arange(1, 3)) == CommoditySpec(0, (1, 2))
 
 
 def test_area_side_rule():
@@ -76,7 +82,6 @@ def test_spawn_builds_default_commodities():
     scenario = spawn_scenario(ScenarioConfig(num_task=4, num_relay=1, rng_seed=0))
     assert len(scenario.commodities) == 4
     assert sorted(c.sink for c in scenario.commodities) == [0, 1, 2, 3]
-    assert scenario.relay_indices() == (4,)
 
 
 def test_weight_presets():
@@ -133,6 +138,16 @@ def test_load_rejects_malformed_documents(tmp_path):
     bad.write_text(json.dumps({"task_agents": [[0, 0]]}))
     with pytest.raises(ScenarioFormatError):
         load_scenario(bad)
+    # agent indices must be integers: a string is not a list of sources
+    for commodity in ({"sink": 0, "sources": "12"}, {"sink": 0.9, "sources": [1, 2]}):
+        bad.write_text(json.dumps({
+            "capacity_model": {"d0_km": 1.0, "exponent": 2.0},
+            "task_agents": [[0, 0], [1, 0], [2, 0]],
+            "commodities": [commodity],
+            "weights": [1.0],
+        }))
+        with pytest.raises(ScenarioFormatError):
+            load_scenario(bad)
     with pytest.raises(ScenarioFormatError):
         load_scenario(tmp_path / "missing.json")
 
