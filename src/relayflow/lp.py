@@ -35,6 +35,14 @@ Any callable with the signature ``engine(lp, options) -> LpResult`` can
 be plugged in through ``SolverOptions.engine``; an adapter around
 ``scipy.optimize.linprog`` is provided as an alternative engine and as
 an independent cross-check in the test suite.
+
+Importing this module loads numpy and one compiled file of scipy, its
+LAPACK extension, from which the interior point takes ``dpotrf`` and
+``dpotrs``.  The constraint matrices are :class:`CsrMatrix` records,
+whose products sum as scipy.sparse's do.  So building, solving and
+checking an LP that the in-repo engines take loads no scipy
+subpackage; ``scipy.optimize`` and ``scipy.sparse`` load the first time
+an LP goes to HiGHS.
 """
 
 from __future__ import annotations
@@ -43,14 +51,16 @@ import contextlib
 import copy
 import ctypes
 import functools
-import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
+from numpy.linalg import _umath_linalg
 
 # interior-point iteration cap; a solve that reaches it goes to the simplex
 _MAX_ITERS = 200
@@ -60,19 +70,150 @@ _TARGET = 1e-9
 # constraint-matrix entries (variables x rows) up to which the in-repo
 # interior point solves the LP on dense arrays; larger problems go to HiGHS
 _DENSE_MAX_ENTRIES = 500_000
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded from its file.
+
+    ``import scipy.linalg`` would also import scipy's array-API layer and,
+    through it, ``numpy.f2py`` and ``numpy.testing``; loading the one
+    extension skips all of that.  ``find_spec`` locates the scipy package
+    without running its ``__init__``.  The module is left out of
+    ``sys.modules``, where a later ``import scipy.linalg`` finds its
+    package loaded in full.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # imported already, with its package
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("relayflow needs scipy, whose package was not found", name="scipy")
+    path = os.path.join(
+        spec.submodule_search_locations[0], "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    )
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK extension {path} is missing", name=name, path=path)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    # a single-phase extension enters itself in sys.modules as it loads
+    sys.modules.pop(name, None)
+    return module
+
+
+_FLAPACK = _load_flapack()
 # the LAPACK Cholesky routines behind scipy's cho_factor and cho_solve,
 # called directly: on the small normal matrices of flow LPs the wrappers'
-# argument handling costs more than the arithmetic
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# argument handling costs more than the arithmetic.  They stay scipy's:
+# numpy bundles another OpenBLAS build, whose potrf rounds differently
+_potrf, _potrs = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 
 
-def _as_sparse(mat, num_cols: int) -> sp.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A read-only matrix in compressed sparse row form.
+
+    The constraint-matrix format of :class:`StandardFormLP`: row ``i``
+    stores ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, as in ``scipy.sparse``.  Its
+    products sum in the order scipy's do, so each result is scipy's to
+    the last bit: ``A @ x`` adds each row's products in stored order, and
+    :meth:`rmatvec` adds ``A' y`` entry by entry in stored order.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+    # the row of each stored entry
+    _rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        num_rows, num_cols = self.shape
+        nnz = self.data.size
+        if (self.indptr.shape != (num_rows + 1,) or self.indptr[0] != 0 or self.indptr[-1] != nnz
+                or self.indices.shape != (nnz,) or np.any(np.diff(self.indptr) < 0)
+                or np.any(self.indices < 0) or np.any(self.indices >= num_cols)):
+            raise ValueError("inconsistent compressed sparse row arrays")
+        object.__setattr__(self, "shape", (int(num_rows), int(num_cols)))
+        rows = np.repeat(np.arange(num_rows, dtype=self.indptr.dtype), np.diff(self.indptr))
+        object.__setattr__(self, "_rows", rows)
+        for arr in (self.data, self.indices, self.indptr, self._rows):
+            arr.flags.writeable = False
+
+    @classmethod
+    def from_coo(cls, vals, rows, cols, shape) -> "CsrMatrix":
+        """The matrix with ``vals[q]`` at ``(rows[q], cols[q])``: column
+        indices sorted within each row and duplicates summed in input
+        order, as ``scipy.sparse.csr_matrix((vals, (rows, cols)))`` gives."""
+        vals = np.asarray(vals, dtype=float)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        num_rows, num_cols = shape
+        if rows.size and not (0 <= rows.min() and rows.max() < num_rows
+                              and 0 <= cols.min() and cols.max() < num_cols):
+            raise ValueError("a COO index lies outside the matrix")
+        # one key per cell in row-major order; a stable sort keeps duplicates in input order
+        cell = rows * num_cols + cols
+        order = np.argsort(cell, kind="stable")
+        cell, vals = cell[order], vals[order]
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        data = vals[starts]
+        counts = np.diff(starts, append=vals.size)
+        for extra in range(1, int(counts.max(initial=1))):
+            more = counts > extra
+            data[more] += vals[starts[more] + extra]
+        cell = cell[starts]
+        # the index dtype scipy.sparse picks
+        dtype = np.int32 if max(num_rows, num_cols, data.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(cell, np.arange(num_rows + 1) * num_cols).astype(dtype)
+        return cls(data, (cell % num_cols).astype(dtype), indptr, (num_rows, num_cols))
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries, explicit zeros included."""
+        return self.data.size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` for a vector ``x``."""
+        if np.shape(x) != (self.shape[1],):
+            raise ValueError(f"a {self.shape} matrix times a vector of shape {np.shape(x)}")
+        # bincount adds each term in turn to 0.0, as scipy's product does;
+        # with no terms its result is of integer type
+        return np.bincount(self._rows, self.data * x[self.indices], self.shape[0]).astype(float, copy=False)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """``A' y`` for a vector ``y``."""
+        if np.shape(y) != (self.shape[0],):
+            raise ValueError(f"the transpose of a {self.shape} matrix times a vector of shape {np.shape(y)}")
+        return np.bincount(self.indices, self.data * y[self._rows], self.shape[1]).astype(float, copy=False)
+
+    def toarray(self) -> np.ndarray:
+        """A new dense array, duplicates summed in stored order."""
+        out = np.zeros(self.shape)
+        np.add.at(out, (self._rows, self.indices), self.data)
+        return out
+
+
+def _as_csr(mat, num_cols: int) -> CsrMatrix:
+    """``mat`` as a :class:`CsrMatrix`: None is a matrix of no rows, a
+    scipy sparse matrix keeps its stored entries (explicit zeros too), and
+    a dense array keeps its nonzeros, row by row."""
     if mat is None:
-        return sp.csr_matrix((0, num_cols))
-    if sp.issparse(mat):
-        out = mat.tocsr().astype(float)
+        mat = np.zeros((0, num_cols))
+    if isinstance(mat, CsrMatrix):
+        out = mat
+    elif hasattr(mat, "tocsr"):
+        csr = mat.tocsr()
+        nnz = int(csr.indptr[-1])
+        out = CsrMatrix(np.array(csr.data[:nnz], dtype=float), np.array(csr.indices[:nnz]),
+                        np.array(csr.indptr), csr.shape)
     else:
-        out = sp.csr_matrix(np.atleast_2d(np.asarray(mat, dtype=float)))
+        arr = np.atleast_2d(np.asarray(mat, dtype=float))
+        if arr.ndim != 2:
+            raise ValueError(f"a constraint matrix must be 2-D, not {arr.ndim}-D")
+        rows, cols = np.nonzero(arr)
+        out = CsrMatrix.from_coo(arr[rows, cols], rows, cols, arr.shape)
     if out.shape[1] != num_cols:
         raise ValueError(f"constraint matrix has {out.shape[1]} columns, expected {num_cols}")
     return out
@@ -98,8 +239,8 @@ class StandardFormLP:
         n = self.c.shape[0]
         if n == 0:
             raise ValueError("an LP needs at least one variable")
-        self.a_ub = _as_sparse(self.a_ub, n)
-        self.a_eq = _as_sparse(self.a_eq, n)
+        self.a_ub = _as_csr(self.a_ub, n)
+        self.a_eq = _as_csr(self.a_eq, n)
         self.b_ub = (
             np.zeros(0) if self.b_ub is None else np.asarray(self.b_ub, dtype=float).reshape(-1)
         )
@@ -123,11 +264,11 @@ class StandardFormLP:
             raise ValueError("objective, constraint matrices and right-hand sides must be finite")
 
     def freeze(self) -> "StandardFormLP":
-        """Make the constraint matrices, ``b_eq`` and the bounds read-only,
-        build the dense arrays the in-repo interior point will solve this
-        LP on (none for an LP that goes to HiGHS), and return the LP."""
-        for arr in (self.a_ub.data, self.a_ub.indices, self.a_ub.indptr, self.a_eq.data,
-                    self.a_eq.indices, self.a_eq.indptr, self.b_eq, self.lo, self.hi):
+        """Make ``b_eq`` and the bounds read-only, as the constraint
+        matrices always are, build the dense arrays the in-repo interior
+        point will solve this LP on (none for an LP that goes to HiGHS),
+        and return the LP."""
+        for arr in (self.b_eq, self.lo, self.hi):
             arr.flags.writeable = False
         if _takes_dense(self):
             self._dense = _dense_form(self)
@@ -259,7 +400,7 @@ def check_kkt(lp: StandardFormLP, result: LpResult) -> KktReport:
     threshold like 1e-6 means six digits of optimality.
     """
     x = result.x
-    grad = lp.c - lp.a_ub.T @ result.y_ineq - lp.a_eq.T @ result.y_eq
+    grad = lp.c - lp.a_ub.rmatvec(result.y_ineq) - lp.a_eq.rmatvec(result.y_eq)
     grad += np.where(np.isfinite(lp.lo), result.z_lower, 0.0)
     grad -= np.where(np.isfinite(lp.hi), result.z_upper, 0.0)
     stationarity = float(np.max(np.abs(grad), initial=0.0)) / (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
@@ -319,7 +460,7 @@ class BlasThreadControl(NamedTuple):
 
 # numpy's matrix products and scipy's Cholesky each call into their own
 # BLAS; these extensions link it, so their handles export its controls
-_BLAS_EXTENSIONS = ("numpy.linalg._umath_linalg", "scipy.linalg._flapack")
+_BLAS_EXTENSIONS = (_umath_linalg, _FLAPACK)
 
 
 @functools.cache
@@ -334,8 +475,8 @@ def blas_thread_controls() -> tuple[BlasThreadControl, ...]:
     controls = {}
     for module in _BLAS_EXTENSIONS:
         try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        except (ImportError, OSError):
+            lib = ctypes.CDLL(module.__file__)
+        except OSError:
             continue
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
@@ -511,7 +652,7 @@ def _dense_form(lp: StandardFormLP) -> _DenseForm:
     z0 = lp.lo + 1.0
     z0[hi_at] = 0.5 * (lp.lo[hi_at] + lp.hi[hi_at])
     form = _DenseForm(
-        a_hat=sp.vstack([lp.a_eq, lp.a_ub], format="csr").toarray(),
+        a_hat=np.vstack([lp.a_eq.toarray(), lp.a_ub.toarray()]),
         hi_at=hi_at,
         hi=lp.hi[hi_at],
         z0=z0,
@@ -725,13 +866,18 @@ def scipy_linprog_solve(lp: StandardFormLP, opts: Optional[SolverOptions] = None
 
 def _highs(lp: StandardFormLP, method: str, **options) -> LpResult:
     """Solve with HiGHS through scipy.optimize.linprog's ``method`` and ``options``."""
+    import scipy.sparse as sp
     from scipy.optimize import linprog
 
+    a_ub, a_eq = (
+        sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
+        for mat in (lp.a_ub, lp.a_eq)
+    )
     res = linprog(
         c=-lp.c,
-        A_ub=lp.a_ub if lp.num_ineq else None,
+        A_ub=a_ub if lp.num_ineq else None,
         b_ub=lp.b_ub if lp.num_ineq else None,
-        A_eq=lp.a_eq if lp.num_eq else None,
+        A_eq=a_eq if lp.num_eq else None,
         b_eq=lp.b_eq if lp.num_eq else None,
         # linprog reads infinite bounds as absent ones
         bounds=np.column_stack([lp.lo, lp.hi]),

@@ -22,10 +22,9 @@ from itertools import chain
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .capacity import capacity_matrix
-from .lp import LpResult, SolverOptions, StandardFormLP, check_kkt, solve
+from .lp import CsrMatrix, LpResult, SolverOptions, StandardFormLP, check_kkt, solve
 from .network import CommoditySpec, Scenario, validate_weights
 
 # Epigraph variables are conceptually free.  The objective pushes each
@@ -204,13 +203,12 @@ def _layout(n: int, commodities: tuple) -> tuple[StandardFormLP, McfpIndexMap]:
     rows = [s, s, num_s + s, num_s + m, index.cap_row0 + np.repeat(np.arange(num_p), num_k)]
     cols = [index.t_col0 + src_k, index.a_col0 + s, index.a_col0 + s, flow_cols, np.arange(index.a_col0)]
     vals = [np.ones(num_s), -np.ones(num_s), np.ones(num_s), -flow_vals, np.ones(index.a_col0)]
-    a_ub = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(index.cap_row0 + num_p, num_vars),
+    a_ub = CsrMatrix.from_coo(
+        np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), (index.cap_row0 + num_p, num_vars)
     )
 
     m, flow_cols, flow_vals = _net_outflow(index, cons_i, cons_k)
-    a_eq = sp.csr_matrix((flow_vals, (m, flow_cols)), shape=(cons_k.size, num_vars))
+    a_eq = CsrMatrix.from_coo(flow_vals, m, flow_cols, (cons_k.size, num_vars))
 
     lo = np.zeros(num_vars)
     hi = np.ones(num_vars)

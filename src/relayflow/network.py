@@ -52,7 +52,8 @@ class Scenario:
     def __post_init__(self) -> None:
         tasks = np.atleast_2d(np.asarray(self.task_positions, dtype=float))
         relays = np.asarray(self.relay_positions, dtype=float)
-        if tasks.shape[0] < 1 or tasks.shape[1] != 2:
+        # (T, 2), or one task as (2,)
+        if tasks.ndim != 2 or tasks.shape[0] < 1 or tasks.shape[1] != 2:
             raise ValueError(f"need at least one task agent with 2-d positions, got {tasks.shape}")
         # (R, 2), one relay as (2,), or none; reshape(-1, 2) would read a
         # row of four numbers as two relays
@@ -103,6 +104,8 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_task", "num_relay", "rng_seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.num_task < 1:
             raise ValueError("need at least one task agent")
         if self.num_relay < 0:

@@ -1,5 +1,9 @@
+import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -699,3 +703,133 @@ def test_normal_solvers_match_scipy_cholesky_bit_for_bit(monkeypatch):
     m_mat = (a * dinv) @ a.T + np.diag(e_diag)
     assert lp_module._potrf(m_mat, lower=1)[1] > 0
     assert_matches_scipy(lambda: lp_module._dense_normal_solver(a, dinv, e_diag), m)
+
+
+def random_coo(rng, num_rows, num_cols):
+    """COO triplets with empty rows, stored zeros, and duplicates whose
+    pairs cancel or not."""
+    filled = rng.choice(num_rows, size=max(1, num_rows // 2), replace=False)
+    num_cells = filled.size * num_cols
+    cells = rng.choice(num_cells, size=int(rng.integers(0, num_cells + 1)), replace=False)
+    rows, cols = filled[cells // num_cols], cells % num_cols
+    vals = rng.normal(size=cells.size) * 10.0 ** rng.integers(-6, 7, cells.size)
+    vals[rng.random(cells.size) < 0.2] = 0.0
+    twice = rng.random(cells.size) < 0.3
+    again = np.where(rng.random(twice.sum()) < 0.5, -vals[twice], rng.normal(size=twice.sum()))
+    order = rng.permutation(cells.size + again.size)
+    return (
+        np.concatenate([vals, again])[order],
+        np.concatenate([rows, rows[twice]])[order],
+        np.concatenate([cols, cols[twice]])[order],
+    )
+
+
+def test_csr_record_matches_scipy_bit_for_bit():
+    # check_kkt's residuals and the interior point's start depend on the
+    # order in which each product sums, so the record must sum as scipy does
+    def same(got, want):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        num_rows, num_cols = (int(k) for k in rng.integers(1, 25, size=2))
+        vals, rows, cols = random_coo(rng, num_rows, num_cols)
+        ref = sp.csr_matrix((vals, (rows, cols)), shape=(num_rows, num_cols))
+        # one as scipy builds it, one in stored order with duplicates and unsorted columns
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=num_rows))]
+        messy = sp.csr_matrix((vals[by_row], cols[by_row], indptr), shape=(num_rows, num_cols))
+        built = lp_module.CsrMatrix.from_coo(vals, rows, cols, (num_rows, num_cols))
+        for name in ("data", "indices", "indptr"):
+            assert same(getattr(built, name), getattr(ref, name))
+        dense, dense_ref = lp_module._as_csr(ref.toarray(), num_cols), sp.csr_matrix(ref.toarray())
+        for name in ("data", "indices", "indptr"):
+            assert same(getattr(dense, name), getattr(dense_ref, name))
+        x, y = rng.normal(size=num_cols), rng.normal(size=num_rows)
+        for mat, want in ((built, ref), (lp_module._as_csr(messy, num_cols), messy), (dense, dense_ref)):
+            assert mat.nnz == want.nnz
+            assert same(mat @ x, want @ x)
+            assert same(mat.rmatvec(y), want.T @ y)
+            assert same(mat.toarray(), want.toarray())
+    with pytest.raises(ValueError):
+        built @ np.ones(num_cols + 1)
+    with pytest.raises(ValueError):
+        built.rmatvec(np.ones(num_rows + 1))
+    with pytest.raises(ValueError, match="outside the matrix"):
+        lp_module.CsrMatrix.from_coo([1.0], [0], [num_cols], (num_rows, num_cols))
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this relayflow; its standard output."""
+    paths = [str(Path(lp_module.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_small_team_work_loads_no_scipy_subpackage(tmp_path):
+    # the import, an ascent, a mission, the simplex and the CLI run on
+    # numpy and scipy's LAPACK extension alone; HiGHS loads scipy.optimize
+    # (and with it scipy.sparse and scipy.linalg) when it is first called
+    out = run_python(f"""
+import sys
+import numpy as np
+import relayflow as rf
+from relayflow import cli
+from relayflow.simplex import solve_simplex
+
+def scipy_subpackages():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[:2] in (["scipy", "sparse"], ["scipy", "linalg"], ["scipy", "optimize"]))
+
+assert scipy_subpackages() == [], scipy_subpackages()
+pair = rf.Scenario(np.array([[0.0, 1.0], [2.0, 1.0]]), np.array([[1.3, 1.4]]), rf.CapacityModel(),
+                   rf.default_commodities(2))
+trace = rf.ascend(pair, np.ones(2))
+motion = rf.MotionConfig(dt=0.2, box_size=3.0, duration=1.0, rng_seed=1)
+timeline = rf.run_simulation(pair, np.ones(2), motion, pre_optimize=False)
+lp = rf.StandardFormLP(c=[1.0, 2.0], a_ub=[[1.0, 1.0], [1.0, 0.0]], b_ub=[3.0, 1.0], a_eq=[[1.0, -1.0]],
+                       b_eq=[0.0], lo=[0.0, 0.0], hi=[4.0, 4.0])
+exact = solve_simplex(lp)
+assert cli.main(["spawn", "--preset", "pair", "--out", {str(tmp_path)!r}]) == 0
+assert scipy_subpackages() == [], scipy_subpackages()
+
+highs = rf.scipy_linprog_solve(lp)
+assert "scipy.optimize" in sys.modules
+assert highs.optimal and exact.optimal and abs(highs.objective - exact.objective) <= 1e-9
+last = trace.records[-1]
+by_highs = rf.solve_mcfp(rf.build_instance(pair.with_relay_positions(last.relay_positions), np.ones(2)),
+                         rf.SolverOptions(engine=rf.scipy_linprog_solve))
+assert abs(by_highs.phi - last.phi) <= 1e-8 * (1.0 + abs(last.phi)), (by_highs.phi, last.phi)
+print(timeline.num_snapshots)
+""")
+    assert out.splitlines()[-1] == "6"  # snapshots of the 1 s mission at 0.2 s ticks
+
+
+def test_blas_controls_reach_scipy_lapack_without_importing_scipy_linalg():
+    # the one-thread pin must reach the OpenBLAS behind the Cholesky
+    # factorization: the controls found without scipy.linalg are those
+    # found by opening the extensions that `import scipy.linalg` loads
+    out = run_python("""
+import ctypes, importlib, json, sys
+from relayflow.lp import blas_thread_controls
+
+found = [ctl.name for ctl in blas_thread_controls()]
+assert not [name for name in sys.modules if name.startswith("scipy.linalg")]
+want = {}
+for module in ("numpy.linalg._umath_linalg", "scipy.linalg._flapack"):
+    lib = ctypes.CDLL(importlib.import_module(module).__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if fn is not None:
+                want.setdefault(ctypes.cast(fn, ctypes.c_void_p).value, prefix + suffix)
+print(json.dumps([found, list(want.values())]))
+""")
+    found, want = json.loads(out)
+    if not want:
+        pytest.skip("the BLAS is not OpenBLAS")
+    assert found == want

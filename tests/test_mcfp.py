@@ -587,12 +587,30 @@ PROPERTY_SETTINGS = dict(max_examples=25, deadline=None, derandomize=True, datab
 NUM_UPPER = 15
 
 
+@pytest.fixture()
+def hyp(monkeypatch):
+    """hypothesis, drawing no constants from the source of loaded modules.
+
+    Hypothesis also draws the literal constants of every loaded local
+    module, so without this a derandomized test's examples would move
+    with any literal in ``src`` or ``tests`` and with which test modules
+    are collected.  Its own pool of constants stays in use.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis.internal.conjecture import providers
+    from hypothesis.internal.constants_ast import Constants
+
+    monkeypatch.setattr(providers, "_get_local_constants", Constants)
+    # the pools already filtered for each kind of draw, local constants included
+    monkeypatch.setattr(providers, "CONSTANTS_CACHE", type(providers.CONSTANTS_CACHE)(1024))
+    return hypothesis
+
+
 @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
-def test_shadow_prices_are_supergradients_of_phi(model, engine):
+def test_shadow_prices_are_supergradients_of_phi(model, engine, hyp):
     # phi is concave in the capacities and mu is an optimal capacity dual,
     # so no symmetric change of the capacities, small or large, gains more
     # than mu predicts, whichever engine produced mu
-    hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     opts = SolverOptions(engine=engine)
 
@@ -612,10 +630,9 @@ def test_shadow_prices_are_supergradients_of_phi(model, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
-def test_phi_is_homogeneous_monotone_and_blind_to_relay_order(model, engine):
+def test_phi_is_homogeneous_monotone_and_blind_to_relay_order(model, engine, hyp):
     # phi(sC) = s phi(C), phi(C') >= phi(C) for C' >= C, and relabeling
     # the relays changes nothing
-    hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     opts = SolverOptions(engine=engine)
 
@@ -643,12 +660,11 @@ def test_phi_is_homogeneous_monotone_and_blind_to_relay_order(model, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
-def test_relay_moves_gain_no_more_than_the_dual_gradient_predicts(model, engine):
+def test_relay_moves_gain_no_more_than_the_dual_gradient_predicts(model, engine, hyp):
     # chain rule: mu is a supergradient of phi(C), and each rate exp(-|p_i - p_j|^2)
     # has a Hessian of norm at most 2 while a link moves by at most sqrt(2) h
     # along a unit relay direction d, so phi(x + h d) <= phi(x) + h g.d +
     # 2 h^2 sum(mu) for the g that gradient_from_duals builds at x
-    hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     opts = SolverOptions(engine=engine)
 
@@ -674,10 +690,9 @@ def test_relay_moves_gain_no_more_than_the_dual_gradient_predicts(model, engine)
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
-def test_phi_is_blind_to_task_order(model, engine):
+def test_phi_is_blind_to_task_order(model, engine, hyp):
     # relabeling the task agents changes nothing when each commodity and
     # its weight move with the task that sinks it
-    hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     opts = SolverOptions(engine=engine)
 

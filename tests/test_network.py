@@ -170,6 +170,16 @@ def test_scenario_validation(model):
         ScenarioConfig(num_task=0, num_relay=1)
     with pytest.raises(ValueError, match="relay count"):
         ScenarioConfig(num_task=3, num_relay=-1)
+    # task positions of any other rank than (T, 2) or (2,) are refused
+    for tasks in (np.zeros((3, 2, 2)), np.zeros((1, 1, 2)), 0.0):
+        with pytest.raises(ValueError, match="2-d positions"):
+            Scenario(tasks, np.zeros((0, 2)), model)
+    assert Scenario(np.array([0.5, 1.5]), np.zeros((0, 2)), model).num_task == 1
+    # agent counts and seeds must be integers, not floats that spawn_scenario would reject later
+    for counts_and_seed in ((2.5, 1, 0), (3, 1.0, 0), (3, 1, 0.5)):
+        with pytest.raises(TypeError):
+            ScenarioConfig(*counts_and_seed[:2], rng_seed=counts_and_seed[2])
+    assert ScenarioConfig(np.int64(3), np.int64(1), rng_seed=np.int64(7)) == ScenarioConfig(3, 1, rng_seed=7)
 
 
 def test_scenario_from_dict_reads_relay_positions_only_in_pairs(model):
