@@ -32,17 +32,18 @@ when a step collapses, a factorization fails or the iteration cap is
 reached.
 
 Any callable with the signature ``engine(lp, options) -> LpResult`` can
-be plugged in through ``SolverOptions.engine``; an adapter around
-``scipy.optimize.linprog`` is provided as an alternative engine and as
-an independent cross-check in the test suite.
+be plugged in through ``SolverOptions.engine``; :func:`scipy_linprog_solve`,
+HiGHS with its own choice of solver, is provided as an alternative
+engine and as an independent cross-check in the test suite.
 
 Importing this module loads numpy and one compiled file of scipy, its
 LAPACK extension, from which the interior point takes ``dpotrf`` and
-``dpotrs``.  The constraint matrices are :class:`CsrMatrix` records,
-whose products sum as scipy.sparse's do.  So building, solving and
-checking an LP that the in-repo engines take loads no scipy
-subpackage; ``scipy.optimize`` and ``scipy.sparse`` load the first time
-an LP goes to HiGHS.
+``dpotrs``.  HiGHS runs through a second compiled file, scipy's HiGHS
+bindings, which loads the first time an LP goes to HiGHS.  The
+constraint matrices are :class:`CsrMatrix` records, whose products sum
+as scipy.sparse's do.  So building, solving and checking any LP loads
+no scipy subpackage: neither ``scipy.sparse``, ``scipy.linalg`` nor
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -72,37 +73,41 @@ _TARGET = 1e-9
 _DENSE_MAX_ENTRIES = 500_000
 
 
-def _load_flapack():
-    """scipy's LAPACK extension module, loaded from its file.
+def _load_extension(name: str):
+    """scipy's compiled module ``name``, loaded from its file.
 
-    ``import scipy.linalg`` would also import scipy's array-API layer and,
-    through it, ``numpy.f2py`` and ``numpy.testing``; loading the one
-    extension skips all of that.  ``find_spec`` locates the scipy package
-    without running its ``__init__``.  The module is left out of
-    ``sys.modules``, where a later ``import scipy.linalg`` finds its
-    package loaded in full.
+    ``import scipy.linalg`` would also import scipy's array-API layer
+    and, through it, ``numpy.f2py`` and ``numpy.testing``, and
+    ``import scipy.optimize`` imports ``scipy.sparse`` as well; loading
+    the one extension skips all of that.  ``find_spec`` locates the scipy
+    package without running its ``__init__``.  A copy already in
+    ``sys.modules`` is reused.  A loaded one is left out of
+    ``sys.modules``, submodules included, where a later import of its
+    subpackage finds the package loaded in full.
     """
-    name = "scipy.linalg._flapack"
     if name in sys.modules:  # imported already, with its package
         return sys.modules[name]
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         raise ImportError("relayflow needs scipy, whose package was not found", name="scipy")
-    path = os.path.join(
-        spec.submodule_search_locations[0], "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0]
-    )
+    path = os.path.join(spec.submodule_search_locations[0], *name.split(".")[1:])
+    path += importlib.machinery.EXTENSION_SUFFIXES[0]
     if not os.path.isfile(path):
-        raise ImportError(f"scipy's LAPACK extension {path} is missing", name=name, path=path)
+        raise ImportError(f"scipy's compiled module {path} is missing", name=name, path=path)
     loader = importlib.machinery.ExtensionFileLoader(name, path)
     spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    before = set(sys.modules)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
-    # a single-phase extension enters itself in sys.modules as it loads
-    sys.modules.pop(name, None)
+    # a single-phase extension enters itself in sys.modules as it loads,
+    # and a pybind11 one its submodules too
+    for key in set(sys.modules) - before:
+        if key == name or key.startswith(name + "."):
+            del sys.modules[key]
     return module
 
 
-_FLAPACK = _load_flapack()
+_FLAPACK = _load_extension("scipy.linalg._flapack")
 # the LAPACK Cholesky routines behind scipy's cho_factor and cho_solve,
 # called directly: on the small normal matrices of flow LPs the wrappers'
 # argument handling costs more than the arithmetic.  They stay scipy's:
@@ -854,45 +859,119 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
 
 
 def scipy_linprog_solve(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
-    """Engine adapter around scipy.optimize.linprog (HiGHS, ``method="highs"``).
+    """Engine around HiGHS's own solver choice (``method="highs"``).
 
     Satisfies the same contract as the in-repo engine, including the
     maximization dual conventions, so it can be swapped in through
     ``SolverOptions.engine`` or used as an independent cross-check.
-    Its primal feasibility is held to ``_TARGET``: HiGHS's 1e-7 is coarse on weak links.
+    It runs :func:`_highs`, the one HiGHS path of the package, and keeps
+    no model between calls; its results are those
+    ``scipy.optimize.linprog(method="highs")`` gives, though it no longer
+    calls it.  Its primal feasibility is held to ``_TARGET``: HiGHS's
+    1e-7 is coarse on weak links.
     """
     return _highs(lp, "highs", primal_feasibility_tolerance=_TARGET)
 
 
-def _highs(lp: StandardFormLP, method: str, **options) -> LpResult:
-    """Solve with HiGHS through scipy.optimize.linprog's ``method`` and ``options``."""
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
+@functools.cache
+def _highs_core():
+    """HiGHS's compiled bindings as scipy ships them, loaded on first use."""
+    return _load_extension("scipy.optimize._highspy._core")
 
-    a_ub, a_eq = (
-        sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
-        for mat in (lp.a_ub, lp.a_eq)
+
+# the HiGHS solver option of each linprog method; None keeps HiGHS's choice
+_HIGHS_SOLVERS = {"highs": None, "highs-ipm": "ipm"}
+# the LpResult status of a HiGHS model status, by name; linprog reads a
+# model HiGHS rejects as infeasible, and every other status as numerical
+_HIGHS_STATUSES = {
+    "kOptimal": "optimal",
+    "kTimeLimit": "iteration_limit",
+    "kIterationLimit": "iteration_limit",
+    "kInfeasible": "infeasible",
+    "kModelError": "infeasible",
+    "kUnbounded": "unbounded",
+}
+
+
+def _highs_columns(lp: StandardFormLP) -> CsrMatrix:
+    """``[a_ub; a_eq]`` by columns, as the row form of its transpose: row
+    indices ascending within each column and stored zeros kept, which is
+    what linprog's ``csc_array(vstack(...))`` gives HiGHS."""
+    return CsrMatrix.from_coo(
+        np.concatenate([lp.a_ub.data, lp.a_eq.data]),
+        np.concatenate([lp.a_ub.indices, lp.a_eq.indices]),
+        np.concatenate([lp.a_ub._rows, lp.a_eq._rows + lp.num_ineq]),
+        (lp.num_vars, lp.num_ineq + lp.num_eq),
     )
-    res = linprog(
-        c=-lp.c,
-        A_ub=a_ub if lp.num_ineq else None,
-        b_ub=lp.b_ub if lp.num_ineq else None,
-        A_eq=a_eq if lp.num_eq else None,
-        b_eq=lp.b_eq if lp.num_eq else None,
-        # linprog reads infinite bounds as absent ones
-        bounds=np.column_stack([lp.lo, lp.hi]),
-        method=method,
-        options=options,
-    )
-    status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(
-        res.status, "numerical"
-    )
-    iterations = int(getattr(res, "nit", 0))
-    if res.x is None:
-        return LpResult.without_point(lp, status, iterations, res.message)
-    y_ineq = -np.asarray(res.ineqlin.marginals, dtype=float) if lp.num_ineq else np.zeros(0)
-    y_eq = -np.asarray(res.eqlin.marginals, dtype=float) if lp.num_eq else np.zeros(0)
-    return LpResult.at_point(
-        lp, status, res.x, y_ineq, y_eq, np.asarray(res.lower.marginals, dtype=float),
-        -np.asarray(res.upper.marginals, dtype=float), iterations, res.message,
-    )
+
+
+def _highs(lp: StandardFormLP, method: str, **options) -> LpResult:
+    """Solve with HiGHS as ``scipy.optimize.linprog`` does for ``method``
+    (``"highs"`` or ``"highs-ipm"``) and ``options``, on HiGHS's compiled
+    bindings directly.
+
+    The model, the options and the readout are linprog's, so every
+    result is linprog's to the last bit, ``message`` aside, which is
+    HiGHS's name for the model status.  linprog's own re-check of an
+    optimal point, at a tolerance of 3.2e-4, is left out: every consumer
+    checks the KKT conditions at 1e-6.
+    """
+    core = _highs_core()
+    cols = _highs_columns(lp)
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
+    model.num_row_ = model.a_matrix_.num_row_ = lp.num_ineq + lp.num_eq
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = cols.indptr
+    model.a_matrix_.index_ = cols.indices
+    model.a_matrix_.value_ = cols.data
+    model.col_cost_ = -lp.c
+
+    def finite_or_highs_inf(arr):
+        return np.where(np.isinf(arr), np.copysign(core.kHighsInf, arr), arr)
+
+    model.col_lower_ = finite_or_highs_inf(lp.lo)
+    model.col_upper_ = finite_or_highs_inf(lp.hi)
+    model.row_lower_ = finite_or_highs_inf(np.concatenate([np.full(lp.num_ineq, -np.inf), lp.b_eq]))
+    model.row_upper_ = finite_or_highs_inf(np.concatenate([lp.b_ub, lp.b_eq]))
+
+    settings = core.HighsOptions()
+    settings.presolve = "on"
+    if _HIGHS_SOLVERS[method] is not None:
+        settings.solver = _HIGHS_SOLVERS[method]
+    settings.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    settings.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    settings.output_flag = settings.log_to_console = False
+    for key, value in options.items():
+        setattr(settings, key, value)
+
+    highs = core._Highs()
+    error = core.HighsStatus.kError
+    if highs.passOptions(settings) == error:
+        failed = highs.getModelStatus()
+    elif highs.passModel(model) == error:
+        failed = core.HighsModelStatus.kModelError  # HiGHS leaves the status unset
+    elif highs.run() == error:
+        failed = highs.getModelStatus()
+    else:
+        failed = None
+    if failed is not None:
+        return LpResult.without_point(lp, _HIGHS_STATUSES.get(failed.name, "numerical"), 0,
+                                      highs.modelStatusToString(failed))
+
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    message = highs.modelStatusToString(status)
+    if status != core.HighsModelStatus.kOptimal:
+        return LpResult.without_point(lp, _HIGHS_STATUSES.get(status.name, "numerical"), iterations, message)
+    solution = highs.getSolution()
+    # a column's dual is a lower-bound dual when the column sits at its
+    # lower bound in the basis, an upper-bound one at its upper bound
+    col_dual = np.array(solution.col_dual)
+    at = np.fromiter(map(int, highs.getBasis().col_status), dtype=int, count=lp.num_vars)
+    z_lower = np.where(at == int(core.HighsBasisStatus.kLower), col_dual, 0.0)
+    z_upper = -np.where(at == int(core.HighsBasisStatus.kUpper), col_dual, 0.0)
+    y = -np.array(solution.row_dual)
+    return LpResult.at_point(lp, "optimal", solution.col_value, y[:lp.num_ineq], y[lp.num_ineq:],
+                             z_lower, z_upper, iterations, message)

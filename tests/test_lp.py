@@ -15,6 +15,7 @@ from relayflow import (
     SolverOptions,
     StandardFormLP,
     build_instance,
+    build_lp,
     check_kkt,
     scipy_linprog_solve,
     solve,
@@ -86,18 +87,22 @@ def test_equality_only_lp(engine):
     assert check_kkt(lp, res).passed(1e-6)
 
 
+def infeasible_lp():
+    return StandardFormLP(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0], lo=[0.0], hi=[np.inf])
+
+
+def unbounded_lp():
+    return StandardFormLP(c=[1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], lo=[0.0, 0.0], hi=[np.inf, np.inf])
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_infeasible_lp_gets_typed_status(engine):
-    lp = StandardFormLP(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0], lo=[0.0], hi=[np.inf])
-    assert engine(lp, SolverOptions()).status == "infeasible"
+    assert engine(infeasible_lp(), SolverOptions()).status == "infeasible"
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_unbounded_lp_gets_typed_status(engine):
-    lp = StandardFormLP(
-        c=[1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], lo=[0.0, 0.0], hi=[np.inf, np.inf]
-    )
-    assert engine(lp, SolverOptions()).status == "unbounded"
+    assert engine(unbounded_lp(), SolverOptions()).status == "unbounded"
 
 
 def box_only_lp():
@@ -552,17 +557,15 @@ def test_sparse_path_matches_dense_path_on_boxed_lps(seed, monkeypatch):
 
 @pytest.fixture()
 def linprog_methods(monkeypatch):
-    """The ``method`` of every scipy.optimize.linprog call."""
-    import scipy.optimize
-
+    """The linprog ``method`` of every HiGHS solve."""
     methods = []
-    real_linprog = scipy.optimize.linprog
+    real_highs = lp_module._highs
 
-    def spying_linprog(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return real_linprog(*args, **kwargs)
+    def spying_highs(lp, method, **options):
+        methods.append(method)
+        return real_highs(lp, method, **options)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", spying_linprog)
+    monkeypatch.setattr(lp_module, "_highs", spying_highs)
     return methods
 
 
@@ -642,11 +645,11 @@ def test_the_pair_flow_lp_goes_to_the_interior_point(monkeypatch, pair_scenario)
     assert sol.lp_result.message == "converged"
 
 
-def test_highs_route_handles_empty_rows(monkeypatch):
-    # an empty equality row makes the normal matrix singular, also when
-    # it stores an explicit zero; an empty inequality row only carries its slack
+def empty_rows_lp():
+    """An empty inequality row, and an equality row that stores only an
+    explicit zero."""
     stored_zero_row = sp.csr_matrix(([0.0, 1.0, -1.0], [1, 0, 2], [0, 1, 3]), shape=(2, 3))
-    lp = StandardFormLP(
+    return StandardFormLP(
         c=[1.0, 2.0, -1.0],
         a_ub=[[1, 1, 0], [0, 0, 0], [0, 1, 1]],
         b_ub=[1.0, 0.5, 1.5],
@@ -655,19 +658,82 @@ def test_highs_route_handles_empty_rows(monkeypatch):
         lo=[0, 0, 0],
         hi=[2, 2, 2],
     )
+
+
+def test_highs_route_handles_empty_rows(monkeypatch):
+    # an empty equality row makes the normal matrix singular, also when
+    # it stores an explicit zero; an empty inequality row only carries its slack
+    lp = empty_rows_lp()
     dense, sparse = solve_default_and_by_highs(lp, monkeypatch)
     assert check_kkt(lp, sparse).passed(1e-6)
     assert_same_solution(dense, sparse)
 
 
 def test_highs_route_keeps_typed_statuses(monkeypatch):
-    infeasible = StandardFormLP(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0], lo=[0.0], hi=[np.inf])
-    unbounded = StandardFormLP(
-        c=[1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], lo=[0.0, 0.0], hi=[np.inf, np.inf]
-    )
-    for lp, status in ((infeasible, "infeasible"), (unbounded, "unbounded")):
+    for lp, status in ((infeasible_lp(), "infeasible"), (unbounded_lp(), "unbounded")):
         dense, sparse = solve_default_and_by_highs(lp, monkeypatch)
         assert dense.status == sparse.status == status
+
+
+def linprog_result(lp, method, **options):
+    """``scipy.optimize.linprog``'s solution of ``lp`` as an LpResult."""
+    from scipy.optimize import linprog
+
+    a_ub, a_eq = (sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape) for mat in (lp.a_ub, lp.a_eq))
+    res = linprog(
+        -lp.c,
+        A_ub=a_ub if lp.num_ineq else None,
+        b_ub=lp.b_ub if lp.num_ineq else None,
+        A_eq=a_eq if lp.num_eq else None,
+        b_eq=lp.b_eq if lp.num_eq else None,
+        bounds=np.column_stack([lp.lo, lp.hi]),
+        method=method,
+        options=options,
+    )
+    status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(res.status, "numerical")
+    if res.x is None:
+        return LpResult.without_point(lp, status, res.nit, res.message)
+    return LpResult.at_point(lp, status, res.x, -res.ineqlin.marginals, -res.eqlin.marginals,
+                             res.lower.marginals, -res.upper.marginals, res.nit, res.message)
+
+
+def assert_same_bits(got, want):
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for name in ("objective", "gap", "x", "y_ineq", "y_eq", "z_lower", "z_upper"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+
+
+def oracle_lps():
+    rng = np.random.default_rng(31)
+    lps = [random_feasible_lp(rng) for _ in range(6)] + [random_feasible_lp(rng, low=-5.0) for _ in range(4)]
+    lps += [sparse_boxed_lp(rng, 30, 15, 6), boxed_lp(rng, 12, 8)]
+    return lps + [infeasible_lp(), unbounded_lp(), box_only_lp(), free_variable_lp(), upper_only_lp(),
+                  equality_only_lp(), empty_rows_lp()]
+
+
+@pytest.mark.parametrize("options", [{}, {"primal_feasibility_tolerance": 1e-9}], ids=["default", "primal-1e-9"])
+@pytest.mark.parametrize("method", ["highs", "highs-ipm"])
+def test_highs_matches_linprog_bit_for_bit(method, options):
+    # HiGHS gets linprog's model and options, and its answer is read as
+    # linprog reads it; only the message differs
+    statuses = set()
+    for lp in oracle_lps():
+        got = lp_module._highs(lp, method, **options)
+        assert_same_bits(got, linprog_result(lp, method, **options))
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_flow_lp_above_the_threshold_matches_linprog_bit_for_bit(monkeypatch):
+    scenario = spawn_scenario(ScenarioConfig(5, 4, rng_seed=2))
+    lp, _ = build_lp(build_instance(scenario, weight_preset("adhoc", len(scenario.commodities))))
+    monkeypatch.setattr(lp_module, "_DENSE_MAX_ENTRIES", 1)
+    assert_same_bits(solve_interior_point(lp), linprog_result(lp, "highs-ipm"))
+
+
+def test_missing_extension_file_is_named():
+    with pytest.raises(ImportError, match="_no_such_module"):
+        lp_module._load_extension("scipy.optimize._no_such_module")
 
 
 def test_normal_solvers_match_scipy_cholesky_bit_for_bit(monkeypatch):
@@ -771,14 +837,15 @@ def run_python(code):
 
 
 def test_small_team_work_loads_no_scipy_subpackage(tmp_path):
-    # the import, an ascent, a mission, the simplex and the CLI run on
-    # numpy and scipy's LAPACK extension alone; HiGHS loads scipy.optimize
-    # (and with it scipy.sparse and scipy.linalg) when it is first called
+    # the import, an ascent, a mission, the simplex, the CLI and HiGHS run
+    # on numpy and two compiled scipy files alone: its LAPACK extension and
+    # HiGHS's bindings; a later import of scipy.optimize still works
     out = run_python(f"""
 import sys
 import numpy as np
 import relayflow as rf
 from relayflow import cli
+from relayflow import lp as lp_module
 from relayflow.simplex import solve_simplex
 
 def scipy_subpackages():
@@ -798,12 +865,20 @@ assert cli.main(["spawn", "--preset", "pair", "--out", {str(tmp_path)!r}]) == 0
 assert scipy_subpackages() == [], scipy_subpackages()
 
 highs = rf.scipy_linprog_solve(lp)
-assert "scipy.optimize" in sys.modules
 assert highs.optimal and exact.optimal and abs(highs.objective - exact.objective) <= 1e-9
 last = trace.records[-1]
 by_highs = rf.solve_mcfp(rf.build_instance(pair.with_relay_positions(last.relay_positions), np.ones(2)),
                          rf.SolverOptions(engine=rf.scipy_linprog_solve))
 assert abs(by_highs.phi - last.phi) <= 1e-8 * (1.0 + abs(last.phi)), (by_highs.phi, last.phi)
+lp_module._DENSE_MAX_ENTRIES = 1
+above = rf.solve_interior_point(lp)
+assert above.optimal and abs(above.objective - exact.objective) <= 1e-9
+assert scipy_subpackages() == [], scipy_subpackages()
+
+from scipy.optimize import linprog
+res = linprog(-lp.c, A_ub=lp.a_ub.toarray(), b_ub=lp.b_ub, A_eq=lp.a_eq.toarray(), b_eq=lp.b_eq,
+              bounds=np.column_stack([lp.lo, lp.hi]), method="highs", options={{"primal_feasibility_tolerance": 1e-9}})
+assert res.status == 0 and np.array_equal(res.x, highs.x) and np.array_equal(-res.ineqlin.marginals, highs.y_ineq)
 print(timeline.num_snapshots)
 """)
     assert out.splitlines()[-1] == "6"  # snapshots of the 1 s mission at 0.2 s ticks
