@@ -16,11 +16,14 @@ duals measure the sensitivity of the optimal value to each capacity
 bound.  At configurations where the optimal duals are not unique, which
 duals the formula sees depends on how the solve ended: the interior
 point's converged exit returns centered duals, while a solve that
-stalls into the simplex endgame, and every LP above the dense threshold
-(which HiGHS solves), returns the duals of an optimal vertex.  On the
-benchmark's seed-0 fixture ascents the simplex finishes 128 of 892
-solves, 125 of them on ``square4``.  Either way the direction need not
-be the steepest one.
+stalls into the simplex endgame returns the duals of an optimal vertex.
+On the benchmark's seed-0 fixture ascents the simplex finishes 128 of
+892 solves, 125 of them on ``square4``.  Every LP above the dense
+threshold (``team5x4``'s, and those of larger teams) is solved on the
+ascent's own HiGHS model: its first solve cold, every later one by the
+dual simplex from the previous basis.  Those duals are of the optimal
+vertex the re-solve ends at, which can differ from the vertex a cold
+solve finds.  Either way the direction need not be the steepest one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .capacity import gradient_factor_matrix
-from .lp import SolverOptions
+from .lp import SolverOptions, run_options
 from .mcfp import FlowSolution, McfpSolveError, build_instance, solve_mcfp
 from .network import Scenario, validate_weights
 
@@ -207,10 +210,12 @@ def ascend(
     the last recorded utility belongs to the configuration just before
     the final step.  The loop stops when the utility change between
     consecutive solves drops below ``config.tol``, or at
-    ``config.max_iters``.
+    ``config.max_iters``.  Without an engine in ``opts``, the ascent
+    solves with a :class:`relayflow.lp.WarmEngine` of its own.
     """
     cfg = config if config is not None else AscentConfig()
     w = validate_weights(weights, len(scenario.commodities))
+    opts = run_options(opts)
 
     relay_pos = scenario.relay_positions.copy()
     records: list[AscentRecord] = []

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .ascent import _record_json, _RunLog, _xy_cells, _xy_header, ascend, gradient_from_duals
-from .lp import SolverOptions
+from .lp import SolverOptions, run_options
 from .mcfp import McfpSolveError, build_instance, solve_mcfp
 from .network import Scenario, area_side, validate_weights
 
@@ -179,7 +179,10 @@ def run_simulation(
     Relays start from positions optimized for the initial task layout
     (``pre_optimize``, by a default-config ascent), then every tick they
     chase the latest climb direction while task agents drift.  A run of T seconds at step dt
-    yields round(T/dt) + 1 snapshots including the initial one.
+    yields round(T/dt) + 1 snapshots including the initial one.  Without
+    an engine in ``opts``, the run solves with a
+    :class:`relayflow.lp.WarmEngine` of its own, which the placement
+    ascent shares.
     """
     w = validate_weights(weights, len(scenario.commodities))
     box_side = cfg.box_size if cfg.box_size is not None else area_side(scenario.num_task)
@@ -187,6 +190,7 @@ def run_simulation(
         raise ValueError("task agents must start inside the navigation box")
     if cfg.pinned_tasks and max(cfg.pinned_tasks) >= scenario.num_task:
         raise ValueError("pinned task index out of range")
+    opts = run_options(opts)
 
     if pre_optimize and scenario.num_relay:
         trace = ascend(scenario, w, opts=opts)

@@ -12,16 +12,21 @@ and every result can be re-checked with :func:`check_kkt`.
 
 The default engine makes one decision.  An LP with at least one row, a
 finite lower bound on every column and at most ``_DENSE_MAX_ENTRIES``
-constraint-matrix entries, as every flow LP of a small team is, goes
-to an infeasible-start predictor-corrector interior-point method on the
-reduced normal equations, which it factors densely.  Every other LP
-goes to HiGHS's interior point with crossover (``highs-ipm``), whose
-result is returned as it is.  Every solve runs on one OpenBLAS thread.
-The in-repo iterates converge to the analytic center of the optimal
-face, so when the dual optimum is not unique the reported duals are
-the centered ones, which is what a subgradient-style consumer wants;
-HiGHS's are the duals of its optimal vertex, whose complementarity is
-exact.
+(20 000) constraint-matrix entries, as the flow LP of a team of up to
+six agents is, goes to an infeasible-start predictor-corrector
+interior-point method on the reduced normal equations, which it factors
+densely.  Every other LP goes to HiGHS's interior point with crossover
+(``highs-ipm``), whose result is returned as it is.  Every solve runs
+on one OpenBLAS thread.  The in-repo iterates converge to the analytic
+center of the optimal face, so when the dual optimum is not unique the
+reported duals are the centered ones, which is what a subgradient-style
+consumer wants; HiGHS's are the duals of its optimal vertex, whose
+complementarity is exact.
+
+A run that re-solves one layout at every step, an ascent or a mission,
+solves with a :class:`WarmEngine` of its own (:func:`run_options`).  It
+routes as the default engine does, but keeps one HiGHS model per layout
+and re-solves it by the dual simplex from the last optimal basis.
 
 The in-repo interior point itself has two exits: it converges, or it
 hands the problem to the dense two-phase simplex in
@@ -57,7 +62,7 @@ import importlib.util
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -69,8 +74,10 @@ _MAX_ITERS = 200
 # point stops at
 _TARGET = 1e-9
 # constraint-matrix entries (variables x rows) up to which the in-repo
-# interior point solves the LP on dense arrays; larger problems go to HiGHS
-_DENSE_MAX_ENTRIES = 500_000
+# interior point solves the LP on dense arrays; larger problems go to HiGHS.
+# The fixture and mission flow LPs, whose centered duals the benchmark's
+# reference trajectories rest on, have at most 8 432; team5x4's has 50 820
+_DENSE_MAX_ENTRIES = 20_000
 
 
 def _load_extension(name: str):
@@ -336,7 +343,7 @@ class LpResult:
         duals are clipped at zero, bound duals are kept on finite bounds
         only, and the objective is recomputed at ``x``.  ``gap`` is the
         engine's own measure; without one an optimal result stores the
-        gap of :func:`check_kkt` and any other result NaN.
+        gap :func:`check_kkt` reports, and any other result NaN.
         """
         x = np.array(x, dtype=float)
         result = cls(
@@ -346,7 +353,7 @@ class LpResult:
             np.nan if gap is None else gap, iterations, message,
         )
         if gap is None and result.optimal:
-            result.gap = check_kkt(lp, result).gap
+            result.gap = _relative_gap(lp, result)
         return result
 
     @classmethod
@@ -439,8 +446,13 @@ def check_kkt(lp: StandardFormLP, result: LpResult) -> KktReport:
     comp_terms.append(float(np.max(np.abs(result.z_upper * gu), initial=0.0)))
     complementarity = float(np.max(comp_terms)) / (1.0 + abs(obj))
 
-    gap = abs(obj - dual_objective(lp, result)) / (1.0 + abs(obj))
-    return KktReport(stationarity, primal, dual, complementarity, gap)
+    return KktReport(stationarity, primal, dual, complementarity, _relative_gap(lp, result))
+
+
+def _relative_gap(lp: StandardFormLP, result: LpResult) -> float:
+    """|c'x - dual objective| / (1 + |c'x|) of a primal-dual pair."""
+    obj = float(lp.c @ result.x)
+    return abs(obj - dual_objective(lp, result)) / (1.0 + abs(obj))
 
 
 def solve(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
@@ -502,8 +514,8 @@ class _OneBlasThread:
     """Holds every BLAS at one thread while any solve is inside :meth:`scope`.
 
     Waking more OpenBLAS threads costs more than they save on the small
-    dense normal matrices the interior point factors (132 rows on
-    ``team5x4``).  The count is process-wide, so overlapping scopes
+    dense normal matrices the interior point factors (62 rows on
+    ``square4``).  The count is process-wide, so overlapping scopes
     (nested, or in concurrent threads) share one pin, and the last to
     leave restores the counts the first one found.
     """
@@ -592,16 +604,18 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     ``opts`` is accepted for the engine signature and not read.
 
     The interior point takes an LP with at least one row, a finite lower
-    bound on every column and at most ``_DENSE_MAX_ENTRIES``
-    constraint-matrix entries, as the flow LP of a team of up to about 13
-    agents is.  Every other LP, one with an upper-only or free column
-    included, goes to HiGHS's interior point with crossover
-    (``highs-ipm``), and its result is returned as it is: ``status``,
-    ``message`` and ``iterations`` are HiGHS's, and the duals are those
-    of its optimal vertex, so their complementarity is exact and they
-    pass the same verification.  A cold ``team25x10`` solve (30 375
-    columns, 2 640 rows) takes about 2 s that way on a 2-core host,
-    spawn seed 1 included.
+    bound on every column and at most ``_DENSE_MAX_ENTRIES`` (20 000)
+    constraint-matrix entries, as the flow LP of a team of up to six
+    agents is (the ``team5x4`` LP, 385 columns by 132 rows, is not).
+    Every other LP, one with an upper-only or free column included, goes
+    to HiGHS's interior point with crossover (``highs-ipm``), and its
+    result is returned as it is: ``status``, ``message`` and
+    ``iterations`` are HiGHS's, and the duals are those of its optimal
+    vertex, so their complementarity is exact and they pass the same
+    verification.  A cold ``team25x10`` solve (30 375 columns, 2 640
+    rows) takes about 2 s that way on a 2-core host, spawn seed 1
+    included.  Each such solve builds a HiGHS model and drops it; a
+    :class:`WarmEngine` keeps it for the next LP of the layout.
 
     The interior point works on dense arrays and has two exits.  It
     returns ``optimal`` ("converged") when the target is met.
@@ -916,6 +930,13 @@ def _highs(lp: StandardFormLP, method: str, **options) -> LpResult:
     optimal point, at a tolerance of 3.2e-4, is left out: every consumer
     checks the KKT conditions at 1e-6.
     """
+    return _highs_result(lp, *_highs_model(lp, method, **options))
+
+
+def _highs_model(lp: StandardFormLP, method: str, **options):
+    """A HiGHS object holding ``lp`` and linprog's options for ``method``
+    and ``options``, and the model status of a pass HiGHS rejected (None
+    when it took both)."""
     core = _highs_core()
     cols = _highs_columns(lp)
     model = core.HighsLp()
@@ -948,13 +969,18 @@ def _highs(lp: StandardFormLP, method: str, **options) -> LpResult:
     highs = core._Highs()
     error = core.HighsStatus.kError
     if highs.passOptions(settings) == error:
+        return highs, highs.getModelStatus()
+    if highs.passModel(model) == error:
+        return highs, core.HighsModelStatus.kModelError  # HiGHS leaves the status unset
+    return highs, None
+
+
+def _highs_result(lp: StandardFormLP, highs, failed=None) -> LpResult:
+    """Run ``highs`` on the model it holds for ``lp``, unless a pass
+    failed with status ``failed``, and read its answer as linprog does."""
+    core = _highs_core()
+    if failed is None and highs.run() == core.HighsStatus.kError:
         failed = highs.getModelStatus()
-    elif highs.passModel(model) == error:
-        failed = core.HighsModelStatus.kModelError  # HiGHS leaves the status unset
-    elif highs.run() == error:
-        failed = highs.getModelStatus()
-    else:
-        failed = None
     if failed is not None:
         return LpResult.without_point(lp, _HIGHS_STATUSES.get(failed.name, "numerical"), 0,
                                       highs.modelStatusToString(failed))
@@ -975,3 +1001,78 @@ def _highs(lp: StandardFormLP, method: str, **options) -> LpResult:
     y = -np.array(solution.row_dual)
     return LpResult.at_point(lp, "optimal", solution.col_value, y[:lp.num_ineq], y[lp.num_ineq:],
                              z_lower, z_upper, iterations, message)
+
+
+class _WarmHighs:
+    """A HiGHS model of one layout (the constraint matrices, ``b_eq`` and
+    the bounds) and the LP it last solved."""
+
+    def __init__(self, lp: StandardFormLP) -> None:
+        self.highs, failed = _highs_model(lp, "highs-ipm")
+        self.lp = lp
+        self.result = _highs_result(lp, self.highs, failed)
+        # re-solves start from the last basis, which only the simplex uses
+        self.highs.setOptionValue("solver", "simplex")
+
+    def holds_layout_of(self, lp: StandardFormLP) -> bool:
+        layout = (self.lp.a_ub, self.lp.a_eq, self.lp.b_eq, self.lp.lo, self.lp.hi)
+        return all(a is b for a, b in zip(layout, (lp.a_ub, lp.a_eq, lp.b_eq, lp.lo, lp.hi)))
+
+    def resolve(self, lp: StandardFormLP) -> LpResult:
+        """Solve ``lp``, of this model's layout, by the dual simplex from the
+        last basis, changing only the costs and row bounds that differ."""
+        cost = np.flatnonzero(lp.c != self.lp.c)
+        if cost.size:
+            self.highs.changeColsCost(cost.size, cost.astype(np.int32), -lp.c[cost])
+        inf = _highs_core().kHighsInf
+        for row in np.flatnonzero(lp.b_ub != self.lp.b_ub).tolist():
+            self.highs.changeRowBounds(row, -inf, float(lp.b_ub[row]))
+        self.lp = lp
+        return _highs_result(lp, self.highs)
+
+
+class WarmEngine:
+    """The default engine, with HiGHS models kept for re-solving: create one
+    per run (an ascent or a mission) and pass it as ``SolverOptions.engine``.
+
+    An LP the in-repo interior point takes goes to it, as under
+    :func:`solve_interior_point`.  Every other LP is solved on one HiGHS
+    model per layout.  The first solve of a layout is the one-shot
+    ``highs-ipm`` solve.  Each later solve changes only the costs and the
+    inequality right-hand sides that differ from the last LP, then runs
+    the dual simplex from the last optimal basis, which those changes
+    leave dual feasible (cost changes aside).  On a ``team5x4`` ascent a
+    re-solve takes 16 to 119 pivots where a cold dual simplex takes 240
+    to 330.  A re-solve that does not end optimal is solved again cold.
+
+    The state lives in the object alone: two runs that make the same
+    calls on fresh engines get the same results bit for bit, whatever ran
+    in between.  A warm re-solve agrees with a one-shot solve on the
+    optimal value, but where the optimum is not unique it can end at
+    another optimal vertex, with other duals.
+    """
+
+    def __init__(self) -> None:
+        # by inequality matrix, which hashes by identity
+        self._models: dict[CsrMatrix, _WarmHighs] = {}
+
+    def __call__(self, lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
+        if _takes_dense(lp):
+            return solve_interior_point(lp, opts)
+        model = self._models.pop(lp.a_ub, None)
+        result = None
+        if model is not None and model.holds_layout_of(lp):
+            result = model.resolve(lp)
+        if result is None or not result.optimal:
+            model = _WarmHighs(lp)
+            result = model.result
+        if result.optimal:
+            self._models[lp.a_ub] = model
+        return result
+
+
+def run_options(opts: Optional[SolverOptions] = None) -> SolverOptions:
+    """The options a run solves with: ``opts``, with a fresh
+    :class:`WarmEngine` in place of the default engine."""
+    opts = opts if opts is not None else SolverOptions()
+    return opts if opts.engine is not None else replace(opts, engine=WarmEngine())

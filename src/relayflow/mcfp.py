@@ -362,6 +362,18 @@ class VerificationReport:
         )
 
 
+# an ascent or a mission verifies one team's solutions at every step or tick
+@functools.lru_cache(maxsize=8)
+def _verify_layout(n: int, commodities: tuple):
+    """The off-diagonal mask of ``n`` agents and the :func:`_entries` of
+    ``commodities``, all read-only."""
+    off_diag = ~np.eye(n, dtype=bool)
+    (src_k, src_i), (cons_k, cons_i) = _entries(commodities, n)
+    for arr in (off_diag, src_k, src_i, cons_k, cons_i):
+        arr.flags.writeable = False
+    return off_diag, (src_k, src_i), (cons_k, cons_i)
+
+
 def verify_solution(inst: McfpInstance, sol: FlowSolution) -> VerificationReport:
     """Recompute feasibility, optimality and shadow-price hygiene residuals.
 
@@ -373,10 +385,9 @@ def verify_solution(inst: McfpInstance, sol: FlowSolution) -> VerificationReport
     """
     total_flow = sol.r.sum(axis=2)
     slack = inst.capacities - total_flow
-    off_diag = ~np.eye(inst.num_agents, dtype=bool)
+    off_diag, (src_k, src_i), (cons_k, cons_i) = _verify_layout(inst.num_agents, inst.commodities)
 
     net_out = sol.r.sum(axis=1) - sol.r.sum(axis=0)  # (N, K): net outflow per node
-    (src_k, src_i), (cons_k, cons_i) = _entries(inst.commodities, inst.num_agents)
     a_src = sol.a[src_k, src_i]
     # np.max, not max, so a NaN term is kept wherever it stands; + 0.0 turns
     # the -0.0 that np.max(-x) gives over zeros into 0.0

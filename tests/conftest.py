@@ -83,6 +83,14 @@ def flex_traces(flex_scenario):
     }
 
 
+@pytest.fixture(scope="session")
+def team5x4():
+    """The CLI's team5x4 preset (5 tasks, 4 relays, spawn seed 0) and its
+    ``adhoc`` weights: a flow LP above the dense threshold."""
+    scenario = spawn_scenario(ScenarioConfig(num_task=5, num_relay=4, rng_seed=0))
+    return scenario, weight_preset("adhoc", len(scenario.commodities))
+
+
 @pytest.fixture()
 def two_agents_unit(model):
     """Two task agents one km apart, no relays."""

@@ -23,6 +23,7 @@ from relayflow import (
     team_utility,
 )
 from relayflow import ascent as ascent_module
+from relayflow import lp as lp_module
 
 
 def test_zero_duals_give_zero_direction(pair_scenario):
@@ -290,3 +291,48 @@ def test_finite_difference_rejects_bad_step(pair_scenario):
     for h in (0.0, -1e-4, np.nan, np.inf):
         with pytest.raises(ValueError, match="step h must be finite and positive"):
             finite_difference_phi(pair_scenario, np.ones(2), h=h)
+
+
+# a fixed number of steps, however little phi changes
+FIXED_STEPS = AscentConfig(max_iters=15, tol=1e-300)
+
+
+def test_warm_ascents_above_the_threshold_replay_byte_for_byte(team5x4):
+    scenario, weights = team5x4
+    first = ascend(scenario, weights, FIXED_STEPS)
+    second = ascend(scenario, weights, FIXED_STEPS)
+    # an unrelated ascent on the same layout leaves no basis behind for the next run
+    ascend(scenario.with_relay_positions(scenario.relay_positions[::-1]), weights, FIXED_STEPS)
+    third = ascend(scenario, weights, FIXED_STEPS)
+    assert first.to_csv() == second.to_csv() == third.to_csv()
+    assert json.dumps(first.to_json_dict()) == json.dumps(third.to_json_dict())
+
+
+def test_warm_ascent_phi_matches_one_shot_solves(team5x4):
+    scenario, weights = team5x4
+    trace = ascend(scenario, weights, FIXED_STEPS)
+    for rec in trace.records:
+        cold = solve_mcfp(build_instance(scenario.with_relay_positions(rec.relay_positions), weights))
+        assert abs(rec.phi - cold.phi) <= 1e-9 * (1.0 + abs(cold.phi)), rec.iteration
+
+
+def test_an_ascent_builds_one_highs_model_and_leaves_one_shot_solves_alone(monkeypatch, team5x4):
+    scenario, weights = team5x4
+    inst = build_instance(scenario, weights)
+    before = solve_mcfp(inst).lp_result
+    builds = []
+    real_model = lp_module._highs_model
+
+    def counting_model(lp, method, **options):
+        builds.append(method)
+        return real_model(lp, method, **options)
+
+    monkeypatch.setattr(lp_module, "_highs_model", counting_model)
+    trace = ascend(scenario, weights, FIXED_STEPS)
+    assert trace.iterations == FIXED_STEPS.max_iters
+    assert builds == ["highs-ipm"]  # every later solve re-solves that model
+    after = solve_mcfp(inst).lp_result
+    assert builds == ["highs-ipm", "highs-ipm"]  # a one-shot solve builds its own
+    assert (after.status, after.message, after.iterations) == (before.status, before.message, before.iterations)
+    for name in ("objective", "gap", "x", "y_ineq", "y_eq", "z_lower", "z_upper"):
+        assert np.asarray(getattr(after, name)).tobytes() == np.asarray(getattr(before, name)).tobytes(), name

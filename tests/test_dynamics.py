@@ -9,6 +9,7 @@ from relayflow import (
     SimTimeline,
     SimulationError,
     SolverOptions,
+    ascend,
     default_commodities,
     run_simulation,
     spawn_scenario,
@@ -138,6 +139,17 @@ def test_lockstep_runs_are_byte_identical(mobile_scenario):
     cfg = MotionConfig(duration=1.0, dt=0.2, rng_seed=9)
     a = run_simulation(mobile_scenario, np.ones(4), cfg)
     b = run_simulation(mobile_scenario, np.ones(4), cfg)
+    assert a.to_csv() == b.to_csv()
+
+
+def test_warm_runs_above_the_threshold_are_byte_identical(team5x4):
+    # the placement ascent and every tick re-solve the run's own HiGHS model
+    scenario, weights = team5x4
+    cfg = MotionConfig(duration=2.0, dt=0.2, rng_seed=3)
+    a = run_simulation(scenario, weights, cfg)
+    ascend(scenario.with_relay_positions(scenario.relay_positions[::-1]), weights)
+    b = run_simulation(scenario, weights, cfg)
+    assert a.num_snapshots == 11
     assert a.to_csv() == b.to_csv()
 
 

@@ -645,6 +645,101 @@ def test_the_pair_flow_lp_goes_to_the_interior_point(monkeypatch, pair_scenario)
     assert sol.lp_result.message == "converged"
 
 
+def mission_layout():
+    """The mobile-lockstep mission's team: 5 tasks, 2 relays, ``ap:0`` weights."""
+    scenario = spawn_scenario(ScenarioConfig(5, 2, rng_seed=21))
+    return scenario, weight_preset("ap:0", 5)
+
+
+@pytest.mark.parametrize("layout", ["square_scenario", "outlier_scenario", "mission", "team5x4"])
+def test_flow_lps_take_the_interior_point_up_to_the_threshold_and_highs_above(request, monkeypatch, layout):
+    # the fixture and mission ascents rest on the centered duals of the
+    # in-repo interior point; team5x4 (50 820 entries) and larger teams go
+    # to HiGHS, one-shot and in a run alike
+    if layout == "mission":
+        scenario, weights = mission_layout()
+    elif layout == "team5x4":
+        scenario, weights = request.getfixturevalue("team5x4")
+    else:
+        scenario = request.getfixturevalue(layout)
+        weights = np.ones(len(scenario.commodities))
+    paths = []
+    real_interior_point, real_model = lp_module._interior_point, lp_module._highs_model
+
+    def spying_interior_point(lp):
+        paths.append("interior point")
+        return real_interior_point(lp)
+
+    def spying_model(lp, method, **options):
+        paths.append(method)
+        return real_model(lp, method, **options)
+
+    monkeypatch.setattr(lp_module, "_interior_point", spying_interior_point)
+    monkeypatch.setattr(lp_module, "_highs_model", spying_model)
+    inst = build_instance(scenario, weights)
+    one_shot = solve_mcfp(inst)
+    in_run = solve_mcfp(inst, lp_module.run_options())
+    dense = one_shot.lp.num_vars * (one_shot.lp.num_ineq + one_shot.lp.num_eq) <= lp_module._DENSE_MAX_ENTRIES
+    assert dense == (layout != "team5x4")
+    assert paths == 2 * (["interior point"] if dense else ["highs-ipm"])
+    assert (one_shot.lp._dense is None) != dense
+    assert one_shot.lp_result.message == in_run.lp_result.message == ("converged" if dense else "Optimal")
+    assert one_shot.phi == in_run.phi
+
+
+def team5x4_lps(team5x4, steps=3):
+    """Flow LPs of the team5x4 layout at relay positions moved step by step."""
+    scenario, weights = team5x4
+    return [build_lp(build_instance(scenario.with_relay_positions(scenario.relay_positions + 0.05 * k), weights))[0]
+            for k in range(steps)]
+
+
+def test_warm_engine_re_solves_a_layout_from_its_last_basis(monkeypatch, team5x4):
+    builds = []
+    real_model = lp_module._highs_model
+
+    def counting_model(lp, method, **options):
+        builds.append(method)
+        return real_model(lp, method, **options)
+
+    monkeypatch.setattr(lp_module, "_highs_model", counting_model)
+    lps = team5x4_lps(team5x4)
+    engine = lp_module.WarmEngine()
+    first = engine(lps[0])
+    assert_same_bits(first, lp_module._highs(lps[0], "highs-ipm"))  # the one-shot solve
+    for lp in lps[1:]:
+        warm = engine(lp)
+        assert warm.optimal and check_kkt(lp, warm).passed(1e-6)
+        assert abs(warm.objective - first.objective) > 1e-6  # the capacities moved phi
+        cold = lp_module._highs(lp, "highs-ipm")
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+    # a new objective is re-solved on the same model
+    reweighted = lps[1].with_data(2.0 * lps[1].c, lps[1].b_ub)
+    assert engine(reweighted).objective == pytest.approx(2.0 * engine(lps[1]).objective, rel=1e-9)
+    assert len(builds) == 1 + len(lps)  # the engine's one model and a cold solve per LP above
+    # a replaced bound vector makes another layout, solved cold on a model of its own
+    bounded = lps[0].with_data(lps[0].c, lps[0].b_ub)
+    bounded.hi = np.minimum(bounded.hi, 0.05)
+    assert_same_bits(engine(bounded), lp_module._highs(bounded, "highs-ipm"))
+
+
+def test_warm_engine_solves_cold_when_a_re_solve_is_not_optimal(monkeypatch, team5x4):
+    lps = team5x4_lps(team5x4)
+    engine = lp_module.WarmEngine()
+    engine(lps[0])
+    monkeypatch.setattr(lp_module._WarmHighs, "resolve",
+                        lambda self, lp: LpResult.without_point(lp, "iteration_limit", 0, "injected"))
+    assert_same_bits(engine(lps[1]), lp_module._highs(lps[1], "highs-ipm"))
+
+
+def test_run_options_keep_a_chosen_engine():
+    chosen = SolverOptions(engine=scipy_linprog_solve)
+    assert lp_module.run_options(chosen) is chosen
+    fresh = [lp_module.run_options(opts).engine for opts in (None, SolverOptions(), None)]
+    assert all(isinstance(engine, lp_module.WarmEngine) for engine in fresh)
+    assert len({id(engine) for engine in fresh}) == 3  # a fresh engine per run
+
+
 def empty_rows_lp():
     """An empty inequality row, and an equality row that stores only an
     explicit zero."""

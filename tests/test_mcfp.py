@@ -803,17 +803,27 @@ def test_a_later_solve_leaves_an_earlier_lp_unchanged(model):
     assert verify_solution(first, sol_a).passed
 
 
-def test_shared_layout_arrays_reject_writes(model):
-    lp, index = build_lp(mobile_layout_pair(model)[0])
-    dense = [arr for arr in lp._dense if isinstance(arr, np.ndarray)]
+def test_shared_layout_arrays_reject_writes(model, bridge_scenario):
+    small, small_index = build_lp(build_instance(bridge_scenario, [1.0, 2.0]))
+    dense = [arr for arr in small._dense if isinstance(arr, np.ndarray)]
     assert len(dense) >= 4  # a_hat, the upper-bounded columns, their bounds and the start
-    shared = [lp.lo, lp.hi, lp.b_eq, lp.a_ub.data, lp.a_ub.indices, lp.a_ub.indptr, lp.a_eq.data]
-    shared += [index.pair_i, index.pair_j, index.src_k, index.src_i, index.cons_k, index.cons_i, *dense]
+    # the mobile team's layout with all five commodities (235 columns, 92
+    # rows) is above the dense threshold: HiGHS solves it, and it gets no dense copy
+    inst = mobile_layout_pair(model)[0]
+    large, large_index = build_lp(inst)
+    assert large.num_vars * (large.num_ineq + large.num_eq) > lp_module._DENSE_MAX_ENTRIES
+    assert large._dense is None
+    # verify_solution's cached mask and entries too
+    off_diag, sources, outside = mcfp_module._verify_layout(inst.num_agents, inst.commodities)
+    shared = [*dense, off_diag, *sources, *outside]
+    for lp, index in ((small, small_index), (large, large_index)):
+        shared += [lp.lo, lp.hi, lp.b_eq, lp.a_ub.data, lp.a_ub.indices, lp.a_ub.indptr, lp.a_eq.data]
+        shared += [index.pair_i, index.pair_j, index.src_k, index.src_i, index.cons_k, index.cons_i]
+        # each LP gets its own objective and capacity right-hand side
+        assert lp.c.flags.writeable and lp.b_ub.flags.writeable
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
-    # each LP gets its own objective and capacity right-hand side
-    assert lp.c.flags.writeable and lp.b_ub.flags.writeable
 
 
 def test_replaced_bounds_are_not_solved_on_the_cached_layout(model):
