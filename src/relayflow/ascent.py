@@ -18,12 +18,13 @@ duals the formula sees depends on how the solve ended: the interior
 point's converged exit returns centered duals, while a solve that
 stalls into the simplex endgame returns the duals of an optimal vertex.
 On the benchmark's seed-0 fixture ascents the simplex finishes 128 of
-892 solves, 125 of them on ``square4``.  Every LP above the dense
-threshold (``team5x4``'s, and those of larger teams) is solved on the
-ascent's own HiGHS model: its first solve cold, every later one by the
-dual simplex from the previous basis.  Those duals are of the optimal
-vertex the re-solve ends at, which can differ from the vertex a cold
-solve finds.  Either way the direction need not be the steepest one.
+892 solves, 125 of them on ``square4``.  The flow LP of every team of
+more than six agents (the 7-agent mission's, ``team5x4``'s and those of
+larger teams), whatever its size, is solved on the ascent's own HiGHS
+model: its first solve cold, every later one by the dual simplex from
+the previous basis.  Those duals are of the optimal vertex the re-solve
+ends at, which can differ from the vertex a cold solve finds.  Either
+way the direction need not be the steepest one.
 """
 
 from __future__ import annotations
@@ -180,11 +181,13 @@ def finite_difference_phi(
     """Central-difference estimate of the utility gradient per relay.
 
     Costs two solves per relay coordinate; serves as the independent
-    check of :func:`gradient_from_duals`.
+    check of :func:`gradient_from_duals`.  Without an engine in ``opts``,
+    the solves share a :class:`relayflow.lp.WarmEngine` of their own.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive, got {h}")
     w = validate_weights(weights, len(scenario.commodities))
+    opts = run_options(opts)
     out = np.zeros_like(scenario.relay_positions)
     for rel in range(scenario.num_relay):
         for dim in range(2):

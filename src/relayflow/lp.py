@@ -10,23 +10,25 @@ bound duals.  Downstream code reads the inequality duals as shadow
 prices, so the interior point iterates to a relative accuracy of 1e-9,
 and every result can be re-checked with :func:`check_kkt`.
 
-The default engine makes one decision.  An LP with at least one row, a
-finite lower bound on every column and at most ``_DENSE_MAX_ENTRIES``
-(20 000) constraint-matrix entries, as the flow LP of a team of up to
-six agents is, goes to an infeasible-start predictor-corrector
-interior-point method on the reduced normal equations, which it factors
-densely.  Every other LP goes to HiGHS's interior point with crossover
-(``highs-ipm``), whose result is returned as it is.  Every solve runs
-on one OpenBLAS thread.  The in-repo iterates converge to the analytic
-center of the optimal face, so when the dual optimum is not unique the
-reported duals are the centered ones, which is what a subgradient-style
-consumer wants; HiGHS's are the duals of its optimal vertex, whose
+The default engine makes one decision (:func:`_takes_dense`).  An LP
+with at least one row, a finite lower bound on every column and at most
+``_DENSE_MAX_ENTRIES`` (20 000) constraint-matrix entries goes to an
+infeasible-start predictor-corrector interior-point method on the
+reduced normal equations, which it factors densely on one OpenBLAS
+thread, unless it is marked for HiGHS alone, as :mod:`relayflow.mcfp`
+marks the flow LP of every team of more than six agents.  Every other
+LP goes to HiGHS's interior point with crossover (``highs-ipm``), whose
+result is returned as it is.  The in-repo iterates converge to the analytic center of the
+optimal face, so when the dual optimum is not unique the reported duals
+are the centered ones, which is what a subgradient-style consumer
+wants; HiGHS's are the duals of its optimal vertex, whose
 complementarity is exact.
 
-A run that re-solves one layout at every step, an ascent or a mission,
-solves with a :class:`WarmEngine` of its own (:func:`run_options`).  It
-routes as the default engine does, but keeps one HiGHS model per layout
-and re-solves it by the dual simplex from the last optimal basis.
+A run that re-solves one layout at every step, an ascent, a mission or
+a finite-difference gradient, solves with a :class:`WarmEngine` of its
+own (:func:`run_options`).  It routes as the default engine does, but
+keeps one HiGHS model per layout and re-solves it by the dual simplex
+from the last optimal basis.
 
 The in-repo interior point itself has two exits: it converges, or it
 hands the problem to the dense two-phase simplex in
@@ -41,14 +43,15 @@ be plugged in through ``SolverOptions.engine``; :func:`scipy_linprog_solve`,
 HiGHS with its own choice of solver, is provided as an alternative
 engine and as an independent cross-check in the test suite.
 
-Importing this module loads numpy and one compiled file of scipy, its
-LAPACK extension, from which the interior point takes ``dpotrf`` and
-``dpotrs``.  HiGHS runs through a second compiled file, scipy's HiGHS
-bindings, which loads the first time an LP goes to HiGHS.  The
-constraint matrices are :class:`CsrMatrix` records, whose products sum
-as scipy.sparse's do.  So building, solving and checking any LP loads
-no scipy subpackage: neither ``scipy.sparse``, ``scipy.linalg`` nor
-``scipy.optimize``.
+Importing this module loads numpy and no compiled file of scipy.  The
+interior point takes ``dpotrf`` and ``dpotrs`` from scipy's LAPACK
+extension, which loads on its first Cholesky factorization, and HiGHS
+runs through scipy's HiGHS bindings, which load the first time an LP
+goes to HiGHS; a run on HiGHS alone never loads the LAPACK extension.
+The constraint matrices are :class:`CsrMatrix` records, whose products
+sum as scipy.sparse's do.  So building, solving and checking any LP
+loads no scipy subpackage: neither ``scipy.sparse``, ``scipy.linalg``
+nor ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ _MAX_ITERS = 200
 _TARGET = 1e-9
 # constraint-matrix entries (variables x rows) up to which the in-repo
 # interior point solves the LP on dense arrays; larger problems go to HiGHS.
-# The fixture and mission flow LPs, whose centered duals the benchmark's
-# reference trajectories rest on, have at most 8 432; team5x4's has 50 820
+# A flow LP also needs a team of at most six agents (mcfp._DENSE_MAX_AGENTS):
+# the fixture LPs, whose centered duals the benchmark's reference
+# trajectories rest on, have at most 8 432 entries; the 7-agent mission's
+# has 2 444 and team5x4's 50 820, and both go to HiGHS
 _DENSE_MAX_ENTRIES = 20_000
 
 
@@ -114,12 +119,23 @@ def _load_extension(name: str):
     return module
 
 
-_FLAPACK = _load_extension("scipy.linalg._flapack")
+@functools.cache
+def _flapack():
+    """scipy's LAPACK extension, loaded on the first Cholesky call: only
+    the in-repo interior point needs it."""
+    return _load_extension("scipy.linalg._flapack")
+
+
 # the LAPACK Cholesky routines behind scipy's cho_factor and cho_solve,
 # called directly: on the small normal matrices of flow LPs the wrappers'
 # argument handling costs more than the arithmetic.  They stay scipy's:
 # numpy bundles another OpenBLAS build, whose potrf rounds differently
-_potrf, _potrs = _FLAPACK.dpotrf, _FLAPACK.dpotrs
+def _potrf(*args, **kwargs):
+    return _flapack().dpotrf(*args, **kwargs)
+
+
+def _potrs(*args, **kwargs):
+    return _flapack().dpotrs(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,6 +261,10 @@ class StandardFormLP:
     # the dense arrays the interior point solves this LP on, built by
     # freeze() and shared with every copy with_data() makes
     _dense: Optional["_DenseForm"] = field(default=None, init=False, repr=False, compare=False)
+    # set before freeze() on an LP that, with its with_data() copies, goes to
+    # HiGHS whatever its size, as mcfp._layout sets it on the flow LP of a
+    # team of more than six agents
+    _highs_only: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float).reshape(-1)
@@ -475,11 +495,6 @@ class BlasThreadControl(NamedTuple):
     set: Callable[[int], None]
 
 
-# numpy's matrix products and scipy's Cholesky each call into their own
-# BLAS; these extensions link it, so their handles export its controls
-_BLAS_EXTENSIONS = (_umath_linalg, _FLAPACK)
-
-
 @functools.cache
 def blas_thread_controls() -> tuple[BlasThreadControl, ...]:
     """The OpenBLAS thread controls reachable from numpy and scipy.
@@ -487,10 +502,12 @@ def blas_thread_controls() -> tuple[BlasThreadControl, ...]:
     One :class:`BlasThreadControl` per distinct library, named by its
     symbol prefix (``"scipy_openblas64_"``, ``"openblas"``, ...).  Empty
     for any other BLAS (MKL, Accelerate), which the solver then leaves
-    at its own threading.
+    at its own threading.  Loads scipy's LAPACK extension.
     """
     controls = {}
-    for module in _BLAS_EXTENSIONS:
+    # numpy's matrix products and scipy's Cholesky each call into their own
+    # BLAS; these extensions link it, so their handles export its controls
+    for module in (_umath_linalg, _flapack()):
         try:
             lib = ctypes.CDLL(module.__file__)
         except OSError:
@@ -605,17 +622,18 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
 
     The interior point takes an LP with at least one row, a finite lower
     bound on every column and at most ``_DENSE_MAX_ENTRIES`` (20 000)
-    constraint-matrix entries, as the flow LP of a team of up to six
-    agents is (the ``team5x4`` LP, 385 columns by 132 rows, is not).
-    Every other LP, one with an upper-only or free column included, goes
-    to HiGHS's interior point with crossover (``highs-ipm``), and its
-    result is returned as it is: ``status``, ``message`` and
-    ``iterations`` are HiGHS's, and the duals are those of its optimal
-    vertex, so their complementarity is exact and they pass the same
-    verification.  A cold ``team25x10`` solve (30 375 columns, 2 640
-    rows) takes about 2 s that way on a 2-core host, spawn seed 1
-    included.  Each such solve builds a HiGHS model and drops it; a
-    :class:`WarmEngine` keeps it for the next LP of the layout.
+    constraint-matrix entries, unless it is marked for HiGHS alone, as the
+    flow LP of every team of more than six agents is (the 7-agent
+    mission's LP, 47 columns by 52 rows, and the ``team5x4`` one, 385 by
+    132).  Every other LP, one with an upper-only or free column
+    included, goes to HiGHS's interior point with crossover
+    (``highs-ipm``), and its result is returned as it is: ``status``,
+    ``message`` and ``iterations`` are HiGHS's, and the duals are those
+    of its optimal vertex, so their complementarity is exact and they
+    pass the same verification.  A cold ``team25x10`` solve (30 375
+    columns, 2 640 rows) takes about 2 s that way on a 2-core host, spawn
+    seed 1 included.  Each such solve builds a HiGHS model and drops it;
+    a :class:`WarmEngine` keeps it for the next LP of the layout.
 
     The interior point works on dense arrays and has two exits.  It
     returns ``optimal`` ("converged") when the target is met.
@@ -628,25 +646,26 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     ``unbounded`` verdicts included.  ``iterations`` then counts the
     interior-point Newton steps (the simplex reports none of its own).
 
-    Every solve, exact engine included, runs on one OpenBLAS thread.
-    That thread count is process-wide: it holds for every thread of the
-    process while the solve runs and is restored to the caller's value
-    afterwards, also when the solve raises.  The package runs no threads
-    of its own; solves that overlap in a caller's threads share one pin.
+    Every interior-point solve, its simplex endgame included, runs on one
+    OpenBLAS thread; HiGHS links no BLAS and runs unpinned.  That thread
+    count is process-wide: it holds for every thread of the process while
+    the solve runs and is restored to the caller's value afterwards, also
+    when the solve raises.  The package runs no threads of its own;
+    solves that overlap in a caller's threads share one pin.
     """
-    with _ONE_BLAS_THREAD.scope():
-        if _takes_dense(lp):
+    if _takes_dense(lp):
+        with _ONE_BLAS_THREAD.scope():
             return _interior_point(lp)
-        return _highs(lp, "highs-ipm")
+    return _highs(lp, "highs-ipm")
 
 
 def _takes_dense(lp: StandardFormLP) -> bool:
-    """Whether the in-repo interior point takes the LP: at least one row,
-    a finite lower bound on every column, at most ``_DENSE_MAX_ENTRIES``
-    entries."""
+    """Whether the in-repo interior point takes the LP: not marked for
+    HiGHS alone, at least one row, a finite lower bound on every column,
+    at most ``_DENSE_MAX_ENTRIES`` entries."""
     num_rows = lp.num_ineq + lp.num_eq
     lower = bool(np.isfinite(lp.lo).all())
-    return bool(num_rows) and lower and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES
+    return not lp._highs_only and bool(num_rows) and lower and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES
 
 
 class _DenseForm(NamedTuple):

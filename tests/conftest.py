@@ -91,6 +91,15 @@ def team5x4():
     return scenario, weight_preset("adhoc", len(scenario.commodities))
 
 
+@pytest.fixture(scope="session")
+def mission_team():
+    """The demo mission's team (5 tasks, 2 relays, spawn seed 21) and its
+    ``ap:0`` weights: seven agents, so its flow LP of 2 444 entries goes
+    to HiGHS."""
+    scenario = spawn_scenario(ScenarioConfig(num_task=5, num_relay=2, rng_seed=21))
+    return scenario, weight_preset("ap:0", len(scenario.commodities))
+
+
 @pytest.fixture()
 def two_agents_unit(model):
     """Two task agents one km apart, no relays."""

@@ -336,3 +336,20 @@ def test_an_ascent_builds_one_highs_model_and_leaves_one_shot_solves_alone(monke
     assert (after.status, after.message, after.iterations) == (before.status, before.message, before.iterations)
     for name in ("objective", "gap", "x", "y_ineq", "y_eq", "z_lower", "z_upper"):
         assert np.asarray(getattr(after, name)).tobytes() == np.asarray(getattr(before, name)).tobytes(), name
+
+
+def test_finite_differences_re_solve_one_warm_model(monkeypatch, team5x4):
+    # the 4R solves of a gradient check share one engine, as an ascent's do
+    scenario, weights = team5x4
+    one_shot = finite_difference_phi(scenario, weights, opts=SolverOptions(engine=lp_module.solve_interior_point))
+    builds = []
+    real_model = lp_module._highs_model
+
+    def counting_model(lp, method, **options):
+        builds.append(method)
+        return real_model(lp, method, **options)
+
+    monkeypatch.setattr(lp_module, "_highs_model", counting_model)
+    warm = finite_difference_phi(scenario, weights)
+    assert builds == ["highs-ipm"]  # every later solve re-solves that model
+    np.testing.assert_allclose(warm, one_shot, rtol=0, atol=1e-9)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,11 @@ from relayflow import (
     step_relay,
     step_task,
 )
+from relayflow import lp as lp_module
 
 STILL = MotionConfig(accel_std=0.0)
+# the demo mission of the mission_team fixture: access point 0 pinned, motion seed 1
+MISSION = MotionConfig(duration=20.0, dt=0.2, rng_seed=1, pinned_tasks=(0,))
 
 
 def test_motion_config_validation():
@@ -151,6 +157,29 @@ def test_warm_runs_above_the_threshold_are_byte_identical(team5x4):
     b = run_simulation(scenario, weights, cfg)
     assert a.num_snapshots == 11
     assert a.to_csv() == b.to_csv()
+
+
+def test_mission_on_the_run_engine_tracks_the_interior_point(mission_team):
+    # the team has seven agents, so the placement ascent and every tick
+    # re-solve the run's warm HiGHS model; phi must follow the run on the
+    # centered duals of the in-repo interior point tick by tick
+    scenario, weights = mission_team
+    warm = run_simulation(scenario, weights, MISSION)
+    centered = run_simulation(
+        scenario, weights, MISSION, opts=SolverOptions(engine=lambda lp, opts: lp_module._interior_point(lp))
+    )
+    assert warm.num_snapshots == centered.num_snapshots == 101
+    phi, ref = warm.phi_series(), centered.phi_series()
+    assert np.all(np.abs(phi - ref) <= 1e-6 * (1.0 + np.abs(ref))), np.max(np.abs(phi - ref))
+
+
+def test_mission_replays_byte_for_byte_with_another_run_between(mission_team):
+    scenario, weights = mission_team
+    first = run_simulation(scenario, weights, MISSION)
+    run_simulation(scenario, weights, dataclasses.replace(MISSION, rng_seed=2))
+    second = run_simulation(scenario, weights, MISSION)
+    assert first.to_csv() == second.to_csv()
+    assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
 
 
 def test_static_tasks_hold_utility_near_optimum(mobile_scenario):

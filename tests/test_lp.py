@@ -10,13 +10,17 @@ import pytest
 import scipy.sparse as sp
 
 from relayflow import (
+    AscentConfig,
     McfpSolveError,
+    MotionConfig,
     ScenarioConfig,
     SolverOptions,
     StandardFormLP,
+    ascend,
     build_instance,
     build_lp,
     check_kkt,
+    run_simulation,
     scipy_linprog_solve,
     solve,
     solve_interior_point,
@@ -645,19 +649,18 @@ def test_the_pair_flow_lp_goes_to_the_interior_point(monkeypatch, pair_scenario)
     assert sol.lp_result.message == "converged"
 
 
-def mission_layout():
-    """The mobile-lockstep mission's team: 5 tasks, 2 relays, ``ap:0`` weights."""
-    scenario = spawn_scenario(ScenarioConfig(5, 2, rng_seed=21))
-    return scenario, weight_preset("ap:0", 5)
-
-
-@pytest.mark.parametrize("layout", ["square_scenario", "outlier_scenario", "mission", "team5x4"])
+@pytest.mark.parametrize("layout", ["square_scenario", "outlier_scenario", "mission", "team2x5", "team5x4"])
 def test_flow_lps_take_the_interior_point_up_to_the_threshold_and_highs_above(request, monkeypatch, layout):
-    # the fixture and mission ascents rest on the centered duals of the
-    # in-repo interior point; team5x4 (50 820 entries) and larger teams go
-    # to HiGHS, one-shot and in a run alike
+    # the fixture ascents (six agents at most) rest on the centered duals of
+    # the in-repo interior point; the flow LP of every larger team goes to
+    # HiGHS, one-shot and in a run alike, whatever its size: the mission's
+    # 7-agent team (2 444 entries, one weighted commodity) and team2x5
+    # (4 928) are below the 20 000-entry threshold, team5x4 (50 820) above
     if layout == "mission":
-        scenario, weights = mission_layout()
+        scenario, weights = request.getfixturevalue("mission_team")
+    elif layout == "team2x5":
+        scenario = spawn_scenario(ScenarioConfig(2, 5, rng_seed=4))
+        weights = weight_preset("adhoc", len(scenario.commodities))
     elif layout == "team5x4":
         scenario, weights = request.getfixturevalue("team5x4")
     else:
@@ -679,12 +682,34 @@ def test_flow_lps_take_the_interior_point_up_to_the_threshold_and_highs_above(re
     inst = build_instance(scenario, weights)
     one_shot = solve_mcfp(inst)
     in_run = solve_mcfp(inst, lp_module.run_options())
-    dense = one_shot.lp.num_vars * (one_shot.lp.num_ineq + one_shot.lp.num_eq) <= lp_module._DENSE_MAX_ENTRIES
-    assert dense == (layout != "team5x4")
+    entries = one_shot.lp.num_vars * (one_shot.lp.num_ineq + one_shot.lp.num_eq)
+    assert (entries <= lp_module._DENSE_MAX_ENTRIES) == (layout != "team5x4")
+    dense = scenario.num_agents <= 6
+    assert dense == (layout in ("square_scenario", "outlier_scenario"))
     assert paths == 2 * (["interior point"] if dense else ["highs-ipm"])
     assert (one_shot.lp._dense is None) != dense
     assert one_shot.lp_result.message == in_run.lp_result.message == ("converged" if dense else "Optimal")
     assert one_shot.phi == in_run.phi
+
+
+def test_only_the_interior_point_loads_scipy_lapack(monkeypatch, mission_team, team5x4, pair_scenario):
+    # HiGHS links no BLAS: a mission of the seven-agent team and a team5x4
+    # ascent run on HiGHS alone, and the first Cholesky factorization of a
+    # smaller team's interior point loads the extension
+    loads = []
+    real_flapack = lp_module._flapack
+
+    def spying_flapack():
+        loads.append("_flapack")
+        return real_flapack()
+
+    monkeypatch.setattr(lp_module, "_flapack", spying_flapack)
+    scenario, weights = mission_team
+    run_simulation(scenario, weights, MotionConfig(duration=2.0, rng_seed=1, pinned_tasks=(0,)))
+    ascend(*team5x4, AscentConfig(max_iters=5))
+    assert loads == []
+    solve_mcfp(build_instance(pair_scenario, np.ones(2)))
+    assert loads
 
 
 def team5x4_lps(team5x4, steps=3):
@@ -977,6 +1002,41 @@ assert res.status == 0 and np.array_equal(res.x, highs.x) and np.array_equal(-re
 print(timeline.num_snapshots)
 """)
     assert out.splitlines()[-1] == "6"  # snapshots of the 1 s mission at 0.2 s ticks
+
+
+def test_import_loads_no_compiled_scipy_file():
+    # scipy's LAPACK extension loads on the first Cholesky factorization
+    # and HiGHS's bindings on the first HiGHS solve, not at import
+    out = run_python("""
+import importlib.machinery, importlib.util, json, os
+
+scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+scipy_dirs = (scipy_dir + os.sep, scipy_dir + ".libs" + os.sep)
+created = []
+real_create = importlib.machinery.ExtensionFileLoader.create_module
+
+def spying_create(self, spec):
+    created.append(self.path)
+    return real_create(self, spec)
+
+def mapped():
+    # the shared libraries in the address space, where the system lists them
+    if not os.path.exists("/proc/self/maps"):
+        return []
+    with open("/proc/self/maps") as maps:
+        return sorted({line.split()[5] for line in maps if len(line.split()) > 5})
+
+importlib.machinery.ExtensionFileLoader.create_module = spying_create
+import relayflow
+from relayflow import lp
+
+at_import = [path for path in created + mapped() if path.startswith(scipy_dirs)]
+lp._flapack()
+print(json.dumps([at_import, [path for path in created if path.startswith(scipy_dirs)]]))
+""")
+    at_import, after_load = json.loads(out)
+    assert at_import == []
+    assert [Path(path).name.split(".")[0] for path in after_load] == ["_flapack"]  # the spy sees the loader
 
 
 def test_blas_controls_reach_scipy_lapack_without_importing_scipy_linalg():
