@@ -26,7 +26,6 @@ from . import __version__
 from .ascent import AscentConfig, AscentError, ascend, finite_difference_phi, gradient_from_duals
 from .capacity import CapacityModel
 from .dynamics import MotionConfig, SimulationError, run_simulation
-from .lp import blas_thread_controls
 from .mcfp import (
     McfpSolveError,
     build_instance,
@@ -79,7 +78,6 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outpu
         "outputs": outputs,
         "version": __version__,
         "deterministic": True,  # constant; kept for readers of older manifests
-        "blas_pinned": [ctl.name for ctl in blas_thread_controls()],
         "timings_s": timings,
     }
     (out_dir / "manifest.json").write_text(

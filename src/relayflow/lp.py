@@ -14,15 +14,15 @@ The default engine makes one decision (:func:`_takes_dense`).  An LP
 with at least one row, a finite lower bound on every column and at most
 ``_DENSE_MAX_ENTRIES`` (20 000) constraint-matrix entries goes to an
 infeasible-start predictor-corrector interior-point method on the
-reduced normal equations, which it factors densely on one OpenBLAS
-thread, unless it is marked for HiGHS alone, as :mod:`relayflow.mcfp`
-marks the flow LP of every team of more than six agents.  Every other
-LP goes to HiGHS's interior point with crossover (``highs-ipm``), whose
-result is returned as it is.  The in-repo iterates converge to the analytic center of the
-optimal face, so when the dual optimum is not unique the reported duals
-are the centered ones, which is what a subgradient-style consumer
-wants; HiGHS's are the duals of its optimal vertex, whose
-complementarity is exact.
+reduced normal equations, which it factors densely at the BLAS's own
+thread count, unless it is marked for HiGHS alone, as
+:mod:`relayflow.mcfp` marks the flow LP of every team of more than six
+agents.  Every other LP goes to HiGHS's interior point with crossover
+(``highs-ipm``), whose result is returned as it is.  The in-repo
+iterates converge to the analytic center of the optimal face, so when
+the dual optimum is not unique the reported duals are the centered
+ones, which is what a subgradient-style consumer wants; HiGHS's are the
+duals of its optimal vertex, whose complementarity is exact.
 
 A run that re-solves one layout at every step, an ascent, a mission or
 a finite-difference gradient, solves with a :class:`WarmEngine` of its
@@ -56,20 +56,16 @@ nor ``scipy.optimize``.
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
-import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 # interior-point iteration cap; a solve that reaches it goes to the simplex
 _MAX_ITERS = 200
@@ -258,9 +254,6 @@ class StandardFormLP:
     b_eq: Optional[np.ndarray] = None
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
-    # the dense arrays the interior point solves this LP on, built by
-    # freeze() and shared with every copy with_data() makes
-    _dense: Optional["_DenseForm"] = field(default=None, init=False, repr=False, compare=False)
     # set before freeze() on an LP that, with its with_data() copies, goes to
     # HiGHS whatever its size, as mcfp._layout sets it on the flow LP of a
     # team of more than six agents
@@ -297,19 +290,14 @@ class StandardFormLP:
 
     def freeze(self) -> "StandardFormLP":
         """Make ``b_eq`` and the bounds read-only, as the constraint
-        matrices always are, build the dense arrays the in-repo interior
-        point will solve this LP on (none for an LP that goes to HiGHS),
-        and return the LP."""
+        matrices always are, and return the LP."""
         for arr in (self.b_eq, self.lo, self.hi):
             arr.flags.writeable = False
-        if _takes_dense(self):
-            self._dense = _dense_form(self)
         return self
 
     def with_data(self, c, b_ub) -> "StandardFormLP":
         """A copy with objective ``c`` and inequality right-hand side
-        ``b_ub`` that shares every other array, the dense ones of
-        :meth:`freeze` included."""
+        ``b_ub`` that shares every other array."""
         out = copy.copy(self)
         out.c = np.asarray(c, dtype=float).reshape(-1)
         out.b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
@@ -432,39 +420,31 @@ def check_kkt(lp: StandardFormLP, result: LpResult) -> KktReport:
     threshold like 1e-6 means six digits of optimality.
     """
     x = result.x
+    fin_lo, fin_hi = np.isfinite(lp.lo), np.isfinite(lp.hi)
+    # the bound duals of the finite bounds
+    z_lower, z_upper = np.where(fin_lo, result.z_lower, 0.0), np.where(fin_hi, result.z_upper, 0.0)
     grad = lp.c - lp.a_ub.rmatvec(result.y_ineq) - lp.a_eq.rmatvec(result.y_eq)
-    grad += np.where(np.isfinite(lp.lo), result.z_lower, 0.0)
-    grad -= np.where(np.isfinite(lp.hi), result.z_upper, 0.0)
-    stationarity = float(np.max(np.abs(grad), initial=0.0)) / (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
+    grad += z_lower
+    grad -= z_upper
+    stationarity = float(np.abs(grad).max(initial=0.0)) / (1.0 + float(np.abs(lp.c).max(initial=0.0)))
 
-    rhs_scale = 1.0 + max(
-        float(np.max(np.abs(lp.b_ub), initial=0.0)),
-        float(np.max(np.abs(lp.b_eq), initial=0.0)),
-    )
-    slack_ub = lp.b_ub - lp.a_ub @ x
-    # np.max, not max, so a NaN term is kept wherever it stands; + 0.0 turns
-    # the -0.0 that np.max(-x) gives over zeros into 0.0
-    viol = [
-        float(np.max(-slack_ub, initial=0.0)),
-        float(np.max(np.abs(lp.b_eq - lp.a_eq @ x), initial=0.0)),
-        float(np.max(np.where(np.isfinite(lp.lo), lp.lo - x, 0.0), initial=0.0)),
-        float(np.max(np.where(np.isfinite(lp.hi), x - lp.hi, 0.0), initial=0.0)),
-    ]
-    primal = (float(np.max(viol)) + 0.0) / rhs_scale
-
-    dual = float(np.max([
-        float(np.max(-result.y_ineq, initial=0.0)),
-        float(np.max(np.where(np.isfinite(lp.lo), -result.z_lower, 0.0), initial=0.0)),
-        float(np.max(np.where(np.isfinite(lp.hi), -result.z_upper, 0.0), initial=0.0)),
-    ])) + 0.0
-
-    obj = float(lp.c @ x)
-    comp_terms = [float(np.max(np.abs(result.y_ineq * slack_ub), initial=0.0))]
-    gl = np.where(np.isfinite(lp.lo), x - lp.lo, 0.0)
-    gu = np.where(np.isfinite(lp.hi), lp.hi - x, 0.0)
-    comp_terms.append(float(np.max(np.abs(result.z_lower * gl), initial=0.0)))
-    comp_terms.append(float(np.max(np.abs(result.z_upper * gu), initial=0.0)))
-    complementarity = float(np.max(comp_terms)) / (1.0 + abs(obj))
+    rhs_scale = 1.0 + max(float(np.abs(lp.b_ub).max(initial=0.0)), float(np.abs(lp.b_eq).max(initial=0.0)))
+    # the slacks of the inequality rows and of the finite bounds, in the
+    # order of their duals, then the equality residuals with a minus sign
+    slacks = np.concatenate([
+        lp.b_ub - lp.a_ub @ x,
+        np.where(fin_lo, x - lp.lo, 0.0),
+        np.where(fin_hi, lp.hi - x, 0.0),
+        -np.abs(lp.b_eq - lp.a_eq @ x),
+    ])
+    # one reduction per residual, the largest violation as minus the
+    # smallest slack: a NaN term shows wherever it stands, and + 0.0 turns
+    # the -0.0 that -min gives over zeros into 0.0
+    primal = (-float(slacks.min(initial=0.0)) + 0.0) / rhs_scale
+    dual = -float(np.concatenate([result.y_ineq, z_lower, z_upper]).min(initial=0.0)) + 0.0
+    comp = np.concatenate([result.y_ineq, result.z_lower, result.z_upper])
+    comp *= slacks[:comp.size]
+    complementarity = float(np.abs(comp, out=comp).max(initial=0.0)) / (1.0 + abs(float(lp.c @ x)))
 
     return KktReport(stationarity, primal, dual, complementarity, _relative_gap(lp, result))
 
@@ -485,82 +465,6 @@ def solve(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
 # ---------------------------------------------------------------------------
 # interior-point engine
 # ---------------------------------------------------------------------------
-
-
-class BlasThreadControl(NamedTuple):
-    """Thread-count getter and setter of one loaded BLAS library."""
-
-    name: str
-    get: Callable[[], int]
-    set: Callable[[int], None]
-
-
-@functools.cache
-def blas_thread_controls() -> tuple[BlasThreadControl, ...]:
-    """The OpenBLAS thread controls reachable from numpy and scipy.
-
-    One :class:`BlasThreadControl` per distinct library, named by its
-    symbol prefix (``"scipy_openblas64_"``, ``"openblas"``, ...).  Empty
-    for any other BLAS (MKL, Accelerate), which the solver then leaves
-    at its own threading.  Loads scipy's LAPACK extension.
-    """
-    controls = {}
-    # numpy's matrix products and scipy's Cholesky each call into their own
-    # BLAS; these extensions link it, so their handles export its controls
-    for module in (_umath_linalg, _flapack()):
-        try:
-            lib = ctypes.CDLL(module.__file__)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                try:
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                # two extensions may share one library
-                address = ctypes.cast(set_, ctypes.c_void_p).value
-                controls.setdefault(address, BlasThreadControl(prefix + suffix, get, set_))
-    return tuple(controls.values())
-
-
-class _OneBlasThread:
-    """Holds every BLAS at one thread while any solve is inside :meth:`scope`.
-
-    Waking more OpenBLAS threads costs more than they save on the small
-    dense normal matrices the interior point factors (62 rows on
-    ``square4``).  The count is process-wide, so overlapping scopes
-    (nested, or in concurrent threads) share one pin, and the last to
-    leave restores the counts the first one found.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved: tuple = ()
-
-    @contextlib.contextmanager
-    def scope(self):
-        with self._lock:
-            if self._depth == 0:
-                self._saved = tuple((ctl, ctl.get()) for ctl in blas_thread_controls())
-                for ctl, _ in self._saved:
-                    ctl.set(1)
-            self._depth += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    for ctl, count in self._saved:
-                        ctl.set(count)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def _step_limit(vals: np.ndarray, step: np.ndarray) -> float:
@@ -646,16 +550,17 @@ def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = Non
     ``unbounded`` verdicts included.  ``iterations`` then counts the
     interior-point Newton steps (the simplex reports none of its own).
 
-    Every interior-point solve, its simplex endgame included, runs on one
-    OpenBLAS thread; HiGHS links no BLAS and runs unpinned.  That thread
-    count is process-wide: it holds for every thread of the process while
-    the solve runs and is restored to the caller's value afterwards, also
-    when the solve raises.  The package runs no threads of its own;
-    solves that overlap in a caller's threads share one pin.
+    The BLAS runs at its own thread count.  OpenBLAS works the normal
+    matrices of the fixture LPs (62 rows on ``square4``) on one thread
+    whatever its setting, so their results do not depend on
+    ``OPENBLAS_NUM_THREADS``.  Larger ones get more threads: a flow LP
+    of six tasks without relays (90 rows) keeps a second thread busy for
+    no change in wall time, and a generic LP of more than about 125 rows
+    runs 10 to 20 times slower on a 2-core host, which
+    ``OPENBLAS_NUM_THREADS=1`` avoids.
     """
     if _takes_dense(lp):
-        with _ONE_BLAS_THREAD.scope():
-            return _interior_point(lp)
+        return _interior_point(lp)
     return _highs(lp, "highs-ipm")
 
 
@@ -668,38 +573,16 @@ def _takes_dense(lp: StandardFormLP) -> bool:
     return not lp._highs_only and bool(num_rows) and lower and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES
 
 
-class _DenseForm(NamedTuple):
-    """The arrays the interior point works on that depend only on the
-    constraint matrices and the bounds."""
-
-    a_hat: np.ndarray  # [a_eq; a_ub]
-    hi_at: np.ndarray  # the columns with a finite upper bound
-    hi: np.ndarray  # their upper bounds
-    z0: np.ndarray  # the starting point: mid-box, or one unit above a lower-only bound
-    source: tuple  # the a_ub, a_eq, lo and hi objects it was built from
-
-    def built_from(self, lp: StandardFormLP) -> bool:
-        return all(a is b for a, b in zip(self.source, (lp.a_ub, lp.a_eq, lp.lo, lp.hi)))
-
-
-def _dense_form(lp: StandardFormLP) -> _DenseForm:
-    """A dense copy of the constraint matrix (sparse per-call overhead
-    dwarfs the arithmetic at the sizes the interior point takes) and the
-    upper-bound layout, all read-only."""
+def _dense_form(lp: StandardFormLP):
+    """``(a_hat, hi_at, hi, z0)``: the constraint matrix ``[a_eq; a_ub]``
+    as one dense array (sparse per-call overhead dwarfs the arithmetic at
+    the sizes the interior point takes), the columns with a finite upper
+    bound, their bounds, and the starting point: mid-box, or one unit
+    above a lower-only bound."""
     hi_at = np.flatnonzero(np.isfinite(lp.hi))
     z0 = lp.lo + 1.0
     z0[hi_at] = 0.5 * (lp.lo[hi_at] + lp.hi[hi_at])
-    form = _DenseForm(
-        a_hat=np.vstack([lp.a_eq.toarray(), lp.a_ub.toarray()]),
-        hi_at=hi_at,
-        hi=lp.hi[hi_at],
-        z0=z0,
-        source=(lp.a_ub, lp.a_eq, lp.lo, lp.hi),
-    )
-    for arr in form:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return form
+    return np.vstack([lp.a_eq.toarray(), lp.a_ub.toarray()]), hi_at, lp.hi[hi_at], z0
 
 
 def _simplex(lp: StandardFormLP) -> LpResult:
@@ -711,11 +594,8 @@ def _simplex(lp: StandardFormLP) -> LpResult:
 
 
 def _interior_point(lp: StandardFormLP) -> LpResult:
-    form = lp._dense
-    if form is None or not form.built_from(lp):  # none cached, or a caller replaced an array
-        form = _dense_form(lp)
+    a_hat, hi_at, hi, z = _dense_form(lp)
     m_in, m_eq = lp.num_ineq, lp.num_eq
-    a_hat, hi_at = form.a_hat, form.hi_at
     a_eq, a_ub = a_hat[:m_eq], a_hat[m_eq:]  # row views
     a_ub_t, a_eq_t, a_hat_t = a_ub.T, a_eq.T, a_hat.T
 
@@ -734,12 +614,11 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
     # only by exact rearrangements (x - (-y) as x + y, no + 0.0 on a
     # column without that bound), so the iterates match to the last bit.
     n = lp.num_vars
-    num_comp = m_in + n + form.hi.size
+    num_comp = m_in + n + hi.size
     wb = slice(0, m_in)
     lb = slice(m_in, m_in + n)
     ub = slice(m_in + n, num_comp)
     bb = slice(m_in, num_comp)
-    z = form.z0.copy()
     y = np.zeros(m_eq)
     pv = np.empty(num_comp)
     pv[wb] = np.maximum(1.0, b_ub - lp.a_ub @ z)
@@ -760,7 +639,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
     iters = 0  # Newton steps taken
     while iters < _MAX_ITERS:
         np.subtract(z, lp.lo, out=gl)
-        np.subtract(form.hi, z[hi_at], out=gu)
+        np.subtract(hi, z[hi_at], out=gu)
 
         r_d = f + a_ub_t @ w + a_eq_t @ y
         r_d -= zl
@@ -771,7 +650,7 @@ def _interior_point(lp: StandardFormLP) -> LpResult:
         mu = (float(w @ s) + float(zl @ gl) + float(zu @ gu)) / num_comp
 
         p_obj = float(f @ z)
-        d_obj = -float(b_ub @ w) - float(b_eq @ y) + float(lp.lo @ zl) - float(form.hi @ zu)
+        d_obj = -float(b_ub @ w) - float(b_eq @ y) + float(lp.lo @ zl) - float(hi @ zu)
         rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj))
         rel_pinf = max(
             float(np.abs(r_eq).max(initial=0.0)), float(np.abs(r_in).max(initial=0.0))
@@ -1005,8 +884,8 @@ def _highs_result(lp: StandardFormLP, highs, failed=None) -> LpResult:
                                       highs.modelStatusToString(failed))
 
     status = highs.getModelStatus()
-    info = highs.getInfo()
-    iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    # getInfo would copy every field of HiGHS's info record
+    iterations = highs.getInfoValue("simplex_iteration_count")[1] or highs.getInfoValue("ipm_iteration_count")[1]
     message = highs.modelStatusToString(status)
     if status != core.HighsModelStatus.kOptimal:
         return LpResult.without_point(lp, _HIGHS_STATUSES.get(status.name, "numerical"), iterations, message)
@@ -1044,8 +923,9 @@ class _WarmHighs:
         if cost.size:
             self.highs.changeColsCost(cost.size, cost.astype(np.int32), -lp.c[cost])
         inf = _highs_core().kHighsInf
-        for row in np.flatnonzero(lp.b_ub != self.lp.b_ub).tolist():
-            self.highs.changeRowBounds(row, -inf, float(lp.b_ub[row]))
+        rows = np.flatnonzero(lp.b_ub != self.lp.b_ub)
+        for row, bound in zip(rows.tolist(), lp.b_ub[rows].tolist()):
+            self.highs.changeRowBounds(row, -inf, bound)
         self.lp = lp
         return _highs_result(lp, self.highs)
 

@@ -65,12 +65,14 @@ class McfpInstance:
         c = np.asarray(self.capacities, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"capacity matrix must be square, got {c.shape}")
-        if np.any(c < 0.0) or np.any(c > 1.0):
+        # min and max carry a NaN through, which fails both comparisons
+        if not (c.min(initial=0.0) >= 0.0 and c.max(initial=0.0) <= 1.0):
             raise ValueError("capacities must lie in [0, 1]")
-        # np.allclose(c, c.T, atol=1e-12) with its default rtol, without its overhead
-        if not np.all(np.abs(c - c.T) <= 1e-12 + 1e-5 * np.abs(c.T)):
+        # np.allclose(c, c.T, atol=1e-12) with its default rtol, without its
+        # overhead; c is nonnegative, so it is its own absolute value
+        if not (np.abs(c - c.T) <= 1e-12 + 1e-5 * c.T).all():
             raise ValueError("capacity matrix must be symmetric")
-        if np.any(np.diag(c) != 0.0):
+        if c.diagonal().any():
             raise ValueError("capacity diagonal must be zero (no self links)")
         self.capacities = c
         self.commodities = tuple(self.commodities)
@@ -177,11 +179,10 @@ def _net_outflow(index: McfpIndexMap, nodes: np.ndarray, ks: np.ndarray):
 def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
     """Emit the flow LP in standard form, in the layout :class:`McfpIndexMap` states.
 
-    The layout (constraint matrices, bounds, index map and the dense
-    arrays of the interior point) depends only on the number of agents
-    and the commodities, so it is built once per layout and shared,
-    read-only, by every LP of that layout.  Each call makes a fresh
-    objective (the weights) and capacity right-hand side.
+    The layout (constraint matrices, bounds and index map) depends only
+    on the number of agents and the commodities, so it is built once per
+    layout and shared, read-only, by every LP of that layout.  Each call
+    makes a fresh objective (the weights) and capacity right-hand side.
     """
     template, index = _layout(inst.num_agents, inst.commodities)
     c_obj = np.zeros(template.num_vars)
@@ -195,7 +196,9 @@ def build_lp(inst: McfpInstance) -> tuple[StandardFormLP, McfpIndexMap]:
 # (the positive-weight commodities of one team) at every step or tick
 @functools.lru_cache(maxsize=8)
 def _layout(n: int, commodities: tuple) -> tuple[StandardFormLP, McfpIndexMap]:
-    """The frozen flow LP of a layout, with zero objective and capacities."""
+    """The frozen flow LP of a layout, with zero objective and capacities,
+    marked for HiGHS alone when the team has more than
+    ``_DENSE_MAX_AGENTS`` agents."""
     num_k = len(commodities)
     pair_i, pair_j = np.nonzero(~np.eye(n, dtype=bool))
     (src_k, src_i), (cons_k, cons_i) = _entries(commodities, n)
@@ -395,25 +398,23 @@ def verify_solution(inst: McfpInstance, sol: FlowSolution) -> VerificationReport
 
     net_out = sol.r.sum(axis=1) - sol.r.sum(axis=0)  # (N, K): net outflow per node
     a_src = sol.a[src_k, src_i]
-    # np.max, not max, so a NaN term is kept wherever it stands; + 0.0 turns
-    # the -0.0 that np.max(-x) gives over zeros into 0.0
-    primal = float(np.max([
-        float(np.max(-slack[off_diag], initial=0.0)),  # capacity respected
-        float(np.max(-sol.r, initial=0.0)),  # flow bounds
-        float(np.max(sol.r - 1.0, initial=0.0)),
-        float(np.max(-sol.a, initial=0.0)),  # injections nonnegative
-        float(np.max(np.abs(net_out[cons_i, cons_k]), initial=0.0)),  # agents outside a commodity conserve it
-        float(np.max(a_src - net_out[src_i, src_k], initial=0.0)),  # injection bounded by net outflow
-        float(np.max(sol.t[src_k] - a_src, initial=0.0)),  # epigraph feasibility
-    ])) + 0.0
+    r = sol.r.ravel()
+    # one reduction per residual: max and min keep a NaN term wherever it
+    # stands, and + 0.0 turns the -0.0 that max(-x) or -min(x) gives over
+    # zeros into 0.0
+    primal = float(np.concatenate([
+        -slack[off_diag],  # capacity respected
+        [-r.min(initial=0.0), r.max(initial=1.0) - 1.0],  # flow bounds
+        -sol.a.ravel(),  # injections nonnegative
+        np.abs(net_out[cons_i, cons_k]),  # agents outside a commodity conserve it
+        a_src - net_out[src_i, src_k],  # injection bounded by net outflow
+        sol.t[src_k] - a_src,  # epigraph feasibility
+    ]).max(initial=0.0)) + 0.0
 
-    dual = float(np.max([
-        float(np.max(-sol.mu, initial=0.0)),
-        float(np.max(-sol.lam, initial=0.0)),
-    ])) + 0.0
-    comp = float(np.max(np.abs(sol.mu * slack), initial=0.0))
+    dual = -float(np.concatenate([sol.mu.ravel(), sol.lam.ravel()]).min(initial=0.0)) + 0.0
+    comp = float(np.abs(sol.mu * slack).max(initial=0.0))
     is_slack = off_diag & (slack >= _SLACK_THRESHOLD)
-    slack_mu = float(np.max(sol.mu[is_slack], initial=0.0)) + 0.0
+    slack_mu = float(sol.mu[is_slack].max(initial=0.0)) + 0.0
 
     if sol.lp is not None and sol.lp_result is not None:
         kkt = check_kkt(sol.lp, sol.lp_result)

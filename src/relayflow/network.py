@@ -150,7 +150,8 @@ def validate_weights(weights, num_commodities: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != num_commodities:
         raise ValueError(f"expected {num_commodities} weights, got {w.shape[0]}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+    # min and max carry a NaN through, which fails both comparisons
+    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
         raise ValueError("weights must be finite and nonnegative")
     return w
 

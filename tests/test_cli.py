@@ -13,6 +13,7 @@ from relayflow import (
     save_scenario,
     spawn_scenario,
 )
+from relayflow import lp as lp_module
 from relayflow import mcfp as mcfp_module
 from relayflow.cli import (
     EXIT_GRADCHECK,
@@ -22,7 +23,6 @@ from relayflow.cli import (
     EXIT_VERIFY,
     main,
 )
-from relayflow.lp import blas_thread_controls
 
 E1 = np.exp(-1.0)
 
@@ -198,8 +198,34 @@ def test_simulate_snapshot_count_and_manifest(tmp_path):
     assert len(rows) == 1 + 11
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["deterministic"] is True
-    assert manifest["blas_pinned"] == [ctl.name for ctl in blas_thread_controls()]
+    assert "blas_pinned" not in manifest
     assert (out / "utility.svg").exists()
+
+
+def test_simulate_of_a_seven_agent_team_never_loads_scipy_lapack(tmp_path, monkeypatch):
+    # the demo mission's team: its placement ascent and every tick solve on
+    # HiGHS, and neither the run nor its manifest calls for LAPACK
+    loads = []
+    real_flapack = lp_module._flapack
+
+    def spying_flapack():
+        loads.append("_flapack")
+        return real_flapack()
+
+    monkeypatch.setattr(lp_module, "_flapack", spying_flapack)
+    sp = tmp_path / "mission"
+    assert main([
+        "spawn", "--num-task", "5", "--num-relay", "2", "--seed", "21", "--weights", "ap:0", "--out", str(sp),
+    ]) == EXIT_OK
+    out = tmp_path / "sim"
+    assert main([
+        "simulate", "--scenario", str(sp / "scenario.json"), "--pin-task", "0", "--seed", "1",
+        "--duration", "2.0", "--out", str(out),
+    ]) == EXIT_OK
+    assert loads == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "blas_pinned" not in manifest
+    assert len((out / "timeline.csv").read_text().strip().splitlines()) == 1 + 11
 
 
 def test_simulate_rejects_negative_pin_task(tmp_path):

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from relayflow import (
 )
 from relayflow import lp as lp_module
 from relayflow import simplex as simplex_module
-from relayflow.lp import BlasThreadControl, LpResult, dual_objective
+from relayflow.lp import LpResult, dual_objective
 from relayflow.simplex import solve_simplex
 
 ENGINES = [solve_interior_point, solve_simplex, scipy_linprog_solve]
@@ -356,7 +355,7 @@ def test_interior_point_converges_with_scattered_upper_bounds(seed, monkeypatch)
     # the upper-bound block of the stacked complementarity pairs indexes
     # columns with gaps between them
     lp = scattered_bounds_lp(np.random.default_rng(300 + seed))
-    hi_at = lp_module._dense_form(lp).hi_at
+    _, hi_at, _, _ = lp_module._dense_form(lp)
     assert 0 < hi_at.size < lp.num_vars and np.diff(hi_at).max() > 1
 
     def forbidden(*args, **kwargs):
@@ -371,65 +370,6 @@ def test_interior_point_converges_with_scattered_upper_bounds(seed, monkeypatch)
     assert abs(res.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
     assert check_kkt(lp, res).passed(1e-6)
     assert not res.z_upper[np.isinf(lp.hi)].any()
-
-
-class FakeBlas:
-    """A BLAS thread control that records every count it is set to."""
-
-    def __init__(self, name, count):
-        self.count = count
-        self.calls = []
-        self.control = BlasThreadControl(name, self.get, self.set)
-
-    def get(self):
-        return self.count
-
-    def set(self, count):
-        self.calls.append(count)
-        self.count = count
-
-
-def counts(fakes):
-    return [fake.count for fake in fakes]
-
-
-@pytest.fixture()
-def fake_blas(monkeypatch):
-    fakes = [FakeBlas("fake64_", 2), FakeBlas("fake", 3)]
-    controls = tuple(fake.control for fake in fakes)
-    monkeypatch.setattr(lp_module, "blas_thread_controls", lambda: controls)
-    return fakes
-
-
-def test_dense_solve_runs_on_one_blas_thread(fake_blas, monkeypatch):
-    seen = []
-    real_potrf = lp_module._potrf
-
-    def spying_potrf(*args, **kwargs):
-        seen.append(counts(fake_blas))
-        return real_potrf(*args, **kwargs)
-
-    monkeypatch.setattr(lp_module, "_potrf", spying_potrf)
-    res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
-    assert res.optimal
-    assert seen and all(counts == [1, 1] for counts in seen)
-    assert counts(fake_blas) == [2, 3]
-
-
-def test_simplex_rescue_runs_inside_the_blas_scope(fake_blas, monkeypatch):
-    seen = []
-    real_simplex = simplex_module.solve_simplex
-
-    def spying_simplex(lp, opts=None):
-        seen.append(counts(fake_blas))
-        return real_simplex(lp, opts)
-
-    monkeypatch.setattr(simplex_module, "solve_simplex", spying_simplex)
-    monkeypatch.setattr(lp_module, "_MAX_ITERS", 1)  # hand off after one step
-    res = solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
-    assert res.optimal
-    assert seen == [[1, 1]]
-    assert counts(fake_blas) == [2, 3]
 
 
 def test_interior_point_returns_the_simplex_verdict_when_it_stops_short(monkeypatch):
@@ -452,70 +392,6 @@ def test_interior_point_returns_the_simplex_verdict_when_it_stops_short(monkeypa
         solve_mcfp(build_instance(scenario, weight_preset("adhoc", len(scenario.commodities))))
     assert excinfo.value.lp_result is verdicts[-1]
     assert excinfo.value.lp_result.status == "numerical"
-
-
-def test_blas_scope_restores_counts_after_a_raise(fake_blas, monkeypatch):
-    def failing_potrf(*args, **kwargs):
-        assert counts(fake_blas) == [1, 1]
-        raise RuntimeError("factorization blew up")
-
-    monkeypatch.setattr(lp_module, "_potrf", failing_potrf)
-    with pytest.raises(RuntimeError, match="blew up"):
-        solve_interior_point(boxed_lp(np.random.default_rng(3), 8, 5))
-    assert counts(fake_blas) == [2, 3]
-    assert [fake.calls for fake in fake_blas] == [[1, 2], [1, 3]]
-
-
-def test_overlapping_blas_scopes_share_one_pin(fake_blas):
-    pin = lp_module._OneBlasThread()
-    first, second = pin.scope(), pin.scope()
-    first.__enter__()
-    second.__enter__()
-    first.__exit__(None, None, None)  # leaves before the later scope
-    assert counts(fake_blas) == [1, 1]
-    second.__exit__(None, None, None)
-    assert counts(fake_blas) == [2, 3]
-    assert [fake.calls for fake in fake_blas] == [[1, 2], [1, 3]]
-
-
-def test_blas_scope_from_many_threads(fake_blas):
-    pin = lp_module._OneBlasThread()
-    unpinned = []
-
-    def worker():
-        for _ in range(300):
-            with pin.scope():
-                if counts(fake_blas) != [1, 1]:
-                    unpinned.append(counts(fake_blas))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert unpinned == []
-    assert counts(fake_blas) == [2, 3]
-
-
-def test_solution_does_not_depend_on_the_blas_controls(monkeypatch):
-    # large enough for OpenBLAS to spread the normal-matrix products over
-    # threads when it is not pinned
-    lp = boxed_lp(np.random.default_rng(5), 300, 120)
-    pinned = solve_interior_point(lp)
-    monkeypatch.setattr(lp_module, "blas_thread_controls", lambda: ())
-    unpinned = solve_interior_point(lp)
-    assert pinned.optimal and unpinned.optimal
-    assert pinned.objective == pytest.approx(unpinned.objective, rel=1e-12, abs=1e-12)
-    for field in ("x", "y_ineq", "z_lower", "z_upper"):
-        np.testing.assert_allclose(
-            getattr(pinned, field), getattr(unpinned, field), rtol=1e-9, atol=1e-9
-        )
 
 
 def solve_default_and_by_highs(lp, monkeypatch):
@@ -687,7 +563,7 @@ def test_flow_lps_take_the_interior_point_up_to_the_threshold_and_highs_above(re
     dense = scenario.num_agents <= 6
     assert dense == (layout in ("square_scenario", "outlier_scenario"))
     assert paths == 2 * (["interior point"] if dense else ["highs-ipm"])
-    assert (one_shot.lp._dense is None) != dense
+    assert lp_module._takes_dense(one_shot.lp) == dense
     assert one_shot.lp_result.message == in_run.lp_result.message == ("converged" if dense else "Optimal")
     assert one_shot.phi == in_run.phi
 
@@ -945,10 +821,11 @@ def test_csr_record_matches_scipy_bit_for_bit():
         lp_module.CsrMatrix.from_coo([1.0], [0], [num_cols], (num_rows, num_cols))
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that imports this relayflow; its standard output."""
+def run_python(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this relayflow, with
+    the environment variables ``env`` added; its standard output."""
     paths = [str(Path(lp_module.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(path for path in paths if path))
     done = subprocess.run(
         [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
@@ -1039,27 +916,37 @@ print(json.dumps([at_import, [path for path in created if path.startswith(scipy_
     assert [Path(path).name.split(".")[0] for path in after_load] == ["_flapack"]  # the spy sees the loader
 
 
-def test_blas_controls_reach_scipy_lapack_without_importing_scipy_linalg():
-    # the one-thread pin must reach the OpenBLAS behind the Cholesky
-    # factorization: the controls found without scipy.linalg are those
-    # found by opening the extensions that `import scipy.linalg` loads
-    out = run_python("""
-import ctypes, importlib, json, sys
-from relayflow.lp import blas_thread_controls
+def test_fixture_solves_do_not_depend_on_the_blas_thread_count():
+    # the interior point runs at the BLAS's own thread count, and the
+    # benchmark's reference trajectories rest on its square4 solves: they
+    # come out the same bits on one OpenBLAS thread and on four
+    code = """
+import json, os
+import numpy as np
+import relayflow as rf
 
-found = [ctl.name for ctl in blas_thread_controls()]
-assert not [name for name in sys.modules if name.startswith("scipy.linalg")]
-want = {}
-for module in ("numpy.linalg._umath_linalg", "scipy.linalg._flapack"):
-    lib = ctypes.CDLL(importlib.import_module(module).__file__)
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            fn = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if fn is not None:
-                want.setdefault(ctypes.cast(fn, ctypes.c_void_p).value, prefix + suffix)
-print(json.dumps([found, list(want.values())]))
-""")
-    found, want = json.loads(out)
-    if not want:
-        pytest.skip("the BLAS is not OpenBLAS")
-    assert found == want
+tasks = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+relays = np.array([[0.6, 0.4], [1.5, 1.7]])
+square4 = rf.Scenario(tasks, relays, rf.CapacityModel(), rf.default_commodities(4))
+weights = rf.weight_preset("adhoc", 4)
+results = []
+for k in range(8):
+    res = rf.solve_mcfp(rf.build_instance(square4.with_relay_positions(relays + 0.05 * k), weights)).lp_result
+    arrays = np.concatenate([res.x, res.y_ineq, res.y_eq, res.z_lower, res.z_upper])
+    results.append([res.status, res.message, res.iterations, res.objective.hex(), res.gap.hex(),
+                    arrays.tobytes().hex()])
+trace = rf.ascend(square4, weights, rf.AscentConfig(max_iters=40))
+results.append([rec.phi.hex() for rec in trace.records])
+results.append(trace.final_relay_positions.tobytes().hex())
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        threads = int(status.read().split("Threads:")[1].split()[0])
+print(json.dumps([results, threads]))
+"""
+    one, one_threads = json.loads(run_python(code, OPENBLAS_NUM_THREADS="1"))
+    four, four_threads = json.loads(run_python(code, OPENBLAS_NUM_THREADS="4"))
+    assert [res[1] for res in one[:8]] == ["converged"] * 8
+    assert one == four
+    if one_threads is not None and (os.cpu_count() or 1) > 1:
+        assert four_threads > one_threads  # the variable took effect

@@ -477,7 +477,7 @@ def test_sparse_path_solve_of_a_spawned_team(model):
     inst = build_instance(scenario, weight_preset("adhoc", 10))
     sol = solve_mcfp(inst)
     assert sol.lp.num_vars * (sol.lp.num_ineq + sol.lp.num_eq) > lp_module._DENSE_MAX_ENTRIES
-    assert sol.lp._dense is None  # its cached layout holds no dense arrays
+    assert not lp_module._takes_dense(sol.lp)
     assert verify_solution(inst, sol).passed
     ref = solve_mcfp(inst, SolverOptions(engine=scipy_linprog_solve))
     assert abs(sol.phi - ref.phi) <= 1e-6 * (1.0 + abs(ref.phi))
@@ -498,7 +498,7 @@ def test_team25x10_spawn_seed_1_solves_verified(model, monkeypatch):
     scenario = spawn_scenario(ScenarioConfig(num_task=25, num_relay=10, rng_seed=1), model)
     inst = build_instance(scenario, weight_preset("adhoc", 25))
     sol = solve_mcfp(inst)
-    assert sol.lp._dense is None and methods == ["highs-ipm"]
+    assert methods == ["highs-ipm"]
     assert verify_solution(inst, sol).passed
     assert sol.phi == pytest.approx(0.6189058980, abs=1e-9)
 
@@ -735,6 +735,11 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         McfpInstance(np.array([[0.1, 0.5], [0.5, 0.1]]), default_commodities(2), [1, 1])
     caps = np.array([[0.0, 0.5], [0.5, 0.0]])
+    # a NaN fails every comparison, so it must not pass the range check
+    # and then fail the symmetry check instead
+    for bad in ([[0.0, np.nan], [np.nan, 0.0]], [[0.0, np.nan], [0.5, 0.0]], [[np.nan, 0.5], [0.5, 0.0]]):
+        with pytest.raises(ValueError, match=r"capacities must lie in \[0, 1\]"):
+            McfpInstance(np.array(bad), default_commodities(2), [1, 1])
     with pytest.raises(ValueError, match="square"):
         McfpInstance(np.zeros((2, 3)), default_commodities(2), [1, 1])
     with pytest.raises(ValueError, match="references agent outside the graph"):
@@ -805,17 +810,14 @@ def test_a_later_solve_leaves_an_earlier_lp_unchanged(model):
 
 def test_shared_layout_arrays_reject_writes(model, bridge_scenario):
     small, small_index = build_lp(build_instance(bridge_scenario, [1.0, 2.0]))
-    dense = [arr for arr in small._dense if isinstance(arr, np.ndarray)]
-    assert len(dense) >= 4  # a_hat, the upper-bounded columns, their bounds and the start
     # the mobile team's layout with all five commodities (235 columns, 92
-    # rows) is above the dense threshold: HiGHS solves it, and it gets no dense copy
+    # rows), above the dense threshold
     inst = mobile_layout_pair(model)[0]
     large, large_index = build_lp(inst)
     assert large.num_vars * (large.num_ineq + large.num_eq) > lp_module._DENSE_MAX_ENTRIES
-    assert large._dense is None
     # verify_solution's cached mask and entries too
     off_diag, sources, outside = mcfp_module._verify_layout(inst.num_agents, inst.commodities)
-    shared = [*dense, off_diag, *sources, *outside]
+    shared = [off_diag, *sources, *outside]
     for lp, index in ((small, small_index), (large, large_index)):
         shared += [lp.lo, lp.hi, lp.b_eq, lp.a_ub.data, lp.a_ub.indices, lp.a_ub.indptr, lp.a_eq.data]
         shared += [index.pair_i, index.pair_j, index.src_k, index.src_i, index.cons_k, index.cons_i]
