@@ -19,10 +19,8 @@ point's converged exit returns centered duals, while a solve that
 stalls into the simplex endgame returns the duals of an optimal vertex.
 On the benchmark's seed-0 fixture ascents the simplex finishes 128 of
 892 solves, 125 of them on ``square4``.  The flow LP of every team of
-more than six agents (the 7-agent mission's, ``team5x4``'s and those of
-larger teams), whatever its size, is solved on the ascent's own HiGHS
-model: its first solve cold, every later one by the dual simplex from
-the previous basis.  Those duals are of the optimal vertex the re-solve
+more than six agents is re-solved warm on the ascent's own engine (see
+:mod:`relayflow.lp`), whose duals are of the optimal vertex the re-solve
 ends at, which can differ from the vertex a cold solve finds.  Either
 way the direction need not be the steepest one.
 """

@@ -182,9 +182,7 @@ def run_simulation(
     yields round(T/dt) + 1 snapshots including the initial one.  Without
     an engine in ``opts``, the run solves with a
     :class:`relayflow.lp.WarmEngine` of its own, which the placement
-    ascent shares: a team of more than six agents, whatever its LP size,
-    re-solves one HiGHS model from its last basis at every step and
-    tick, and only a smaller team's LPs go to the in-repo interior point.
+    ascent shares.
     """
     w = validate_weights(weights, len(scenario.commodities))
     box_side = cfg.box_size if cfg.box_size is not None else area_side(scenario.num_task)

@@ -10,33 +10,34 @@ bound duals.  Downstream code reads the inequality duals as shadow
 prices, so the interior point iterates to a relative accuracy of 1e-9,
 and every result can be re-checked with :func:`check_kkt`.
 
-The default engine makes one decision (:func:`_takes_dense`).  An LP
-with at least one row, a finite lower bound on every column and at most
-``_DENSE_MAX_ENTRIES`` (20 000) constraint-matrix entries goes to an
-infeasible-start predictor-corrector interior-point method on the
-reduced normal equations, which it factors densely at the BLAS's own
-thread count, unless it is marked for HiGHS alone, as
-:mod:`relayflow.mcfp` marks the flow LP of every team of more than six
-agents.  Every other LP goes to HiGHS's interior point with crossover
-(``highs-ipm``), whose result is returned as it is.  The in-repo
-iterates converge to the analytic center of the optimal face, so when
-the dual optimum is not unique the reported duals are the centered
-ones, which is what a subgradient-style consumer wants; HiGHS's are the
-duals of its optimal vertex, whose complementarity is exact.
+Every LP is routed in one place, :class:`WarmEngine`, by one rule
+(:func:`_takes_dense`).  An LP with at least one and at most
+``_DENSE_MAX_ROWS`` (120) rows, a finite lower bound on every column and
+at most ``_DENSE_MAX_ENTRIES`` (20 000) constraint-matrix entries goes to
+an infeasible-start predictor-corrector interior-point method on the
+reduced normal equations, factored densely at the BLAS's own thread
+count, unless it is marked for HiGHS alone, as :mod:`relayflow.mcfp`
+marks the flow LP of every team of more than six agents.  The interior
+point converges, or, when it stalls short of the target (as it can on
+degenerate problems), its step collapses, a factorization fails or the
+iteration cap is reached, hands the LP to the dense two-phase simplex in
+:mod:`relayflow.simplex`, which also classifies infeasible and unbounded
+LPs.  Its iterates converge to the analytic center of the optimal face,
+so when the dual optimum is not unique the reported duals are the
+centered ones, which is what a subgradient-style consumer wants.
 
-A run that re-solves one layout at every step, an ascent, a mission or
-a finite-difference gradient, solves with a :class:`WarmEngine` of its
-own (:func:`run_options`).  It routes as the default engine does, but
-keeps one HiGHS model per layout and re-solves it by the dual simplex
-from the last optimal basis.
-
-The in-repo interior point itself has two exits: it converges, or it
-hands the problem to the dense two-phase simplex in
-:mod:`relayflow.simplex` and returns its result, which also classifies
-infeasible and unbounded LPs.  The hand-off happens when progress
-stalls short of the target, as it can on degenerate problems, and also
-when a step collapses, a factorization fails or the iteration cap is
-reached.
+Every other LP goes to HiGHS, and its result is returned as it is, with
+the duals of an optimal vertex, whose complementarity is exact.  The
+engine holds one HiGHS model, that of the last LP HiGHS solved to
+optimality.  An LP of that layout (the same constraint matrices,
+``b_eq`` and bound arrays) is re-solved on it by the dual simplex from
+the last basis; any other LP, or a re-solve that does not end optimal,
+is solved cold by HiGHS's interior point with crossover (``highs-ipm``)
+on a new model that takes the old one's place.  A run that re-solves
+one layout at every step, an ascent, a mission or a finite-difference
+gradient, solves with an engine of its own (:func:`run_options`); a
+one-shot solve, :func:`solve_interior_point`, is a fresh engine's first
+call.
 
 Any callable with the signature ``engine(lp, options) -> LpResult`` can
 be plugged in through ``SolverOptions.engine``; :func:`scipy_linprog_solve`,
@@ -72,13 +73,15 @@ _MAX_ITERS = 200
 # relative duality gap and primal and dual infeasibility the interior
 # point stops at
 _TARGET = 1e-9
-# constraint-matrix entries (variables x rows) up to which the in-repo
-# interior point solves the LP on dense arrays; larger problems go to HiGHS.
-# A flow LP also needs a team of at most six agents (mcfp._DENSE_MAX_AGENTS):
-# the fixture LPs, whose centered duals the benchmark's reference
-# trajectories rest on, have at most 8 432 entries; the 7-agent mission's
-# has 2 444 and team5x4's 50 820, and both go to HiGHS
+# constraint-matrix entries (variables x rows) and rows up to which the
+# in-repo interior point solves the LP on dense arrays; larger problems go
+# to HiGHS.  The fixture flow LPs have at most 8 432 entries and 62 rows,
+# and the largest flow LP of a team of six agents (mcfp._DENSE_MAX_AGENTS)
+# 90 rows.  From about 130 rows OpenBLAS spreads the normal matrix over
+# its threads, and the interior point ran 10 to 20 times slower on a
+# 2-core host
 _DENSE_MAX_ENTRIES = 20_000
+_DENSE_MAX_ROWS = 120
 
 
 def _load_extension(name: str):
@@ -516,61 +519,29 @@ def _dense_normal_solver(a_hat: np.ndarray, dinv: np.ndarray, e_diag: np.ndarray
 
 
 def solve_interior_point(lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
-    """Mehrotra predictor-corrector interior-point method with an exact endgame.
+    """The default engine: one solve by a fresh :class:`WarmEngine`, routed
+    as the module docstring says.  ``opts`` is accepted for the engine
+    signature and not read.
 
-    Works on the minimization form internally; the duals it returns are
-    already in the maximization convention of :class:`StandardFormLP`
-    (identical algebra, no sign flips needed).  Stops at ``_TARGET``
-    (1e-9) in relative duality gap and in primal and dual infeasibility.
-    ``opts`` is accepted for the engine signature and not read.
-
-    The interior point takes an LP with at least one row, a finite lower
-    bound on every column and at most ``_DENSE_MAX_ENTRIES`` (20 000)
-    constraint-matrix entries, unless it is marked for HiGHS alone, as the
-    flow LP of every team of more than six agents is (the 7-agent
-    mission's LP, 47 columns by 52 rows, and the ``team5x4`` one, 385 by
-    132).  Every other LP, one with an upper-only or free column
-    included, goes to HiGHS's interior point with crossover
-    (``highs-ipm``), and its result is returned as it is: ``status``,
-    ``message`` and ``iterations`` are HiGHS's, and the duals are those
-    of its optimal vertex, so their complementarity is exact and they
-    pass the same verification.  A cold ``team25x10`` solve (30 375
-    columns, 2 640 rows) takes about 2 s that way on a 2-core host, spawn
-    seed 1 included.  Each such solve builds a HiGHS model and drops it;
-    a :class:`WarmEngine` keeps it for the next LP of the layout.
-
-    The interior point works on dense arrays and has two exits.  It
-    returns ``optimal`` ("converged") when the target is met.
-    Otherwise (degenerate problems can make progress level off near a
-    relative accuracy of 1e-6 in double precision; a step can also
-    collapse, a factorization fail, or ``_MAX_ITERS`` run out, as on an
-    infeasible or unbounded LP)
-    :func:`relayflow.simplex.solve_simplex` finishes the solve from
-    scratch and its result is returned as is, ``infeasible`` and
-    ``unbounded`` verdicts included.  ``iterations`` then counts the
-    interior-point Newton steps (the simplex reports none of its own).
-
-    The BLAS runs at its own thread count.  OpenBLAS works the normal
-    matrices of the fixture LPs (62 rows on ``square4``) on one thread
-    whatever its setting, so their results do not depend on
-    ``OPENBLAS_NUM_THREADS``.  Larger ones get more threads: a flow LP
-    of six tasks without relays (90 rows) keeps a second thread busy for
-    no change in wall time, and a generic LP of more than about 125 rows
-    runs 10 to 20 times slower on a 2-core host, which
-    ``OPENBLAS_NUM_THREADS=1`` avoids.
+    The interior point stops at ``_TARGET`` (1e-9) in relative duality
+    gap and in primal and dual infeasibility; when it hands the LP to
+    the simplex, ``iterations`` counts its Newton steps (the simplex
+    reports none of its own).  OpenBLAS works the normal matrices of the
+    fixture LPs (62 rows on ``square4``) on one thread whatever its
+    setting, so their results do not depend on ``OPENBLAS_NUM_THREADS``.
     """
-    if _takes_dense(lp):
-        return _interior_point(lp)
-    return _highs(lp, "highs-ipm")
+    return WarmEngine()(lp)
 
 
 def _takes_dense(lp: StandardFormLP) -> bool:
     """Whether the in-repo interior point takes the LP: not marked for
-    HiGHS alone, at least one row, a finite lower bound on every column,
-    at most ``_DENSE_MAX_ENTRIES`` entries."""
+    HiGHS alone, at least one row and at most ``_DENSE_MAX_ROWS``, a
+    finite lower bound on every column, at most ``_DENSE_MAX_ENTRIES``
+    entries."""
     num_rows = lp.num_ineq + lp.num_eq
     lower = bool(np.isfinite(lp.lo).all())
-    return not lp._highs_only and bool(num_rows) and lower and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES
+    return (not lp._highs_only and 0 < num_rows <= _DENSE_MAX_ROWS and lower
+            and lp.num_vars * num_rows <= _DENSE_MAX_ENTRIES)
 
 
 def _dense_form(lp: StandardFormLP):
@@ -776,11 +747,10 @@ def scipy_linprog_solve(lp: StandardFormLP, opts: Optional[SolverOptions] = None
     Satisfies the same contract as the in-repo engine, including the
     maximization dual conventions, so it can be swapped in through
     ``SolverOptions.engine`` or used as an independent cross-check.
-    It runs :func:`_highs`, the one HiGHS path of the package, and keeps
-    no model between calls; its results are those
-    ``scipy.optimize.linprog(method="highs")`` gives, though it no longer
-    calls it.  Its primal feasibility is held to ``_TARGET``: HiGHS's
-    1e-7 is coarse on weak links.
+    It runs :func:`_highs` and keeps no model between calls; its results
+    are those ``scipy.optimize.linprog(method="highs")`` gives, though it
+    no longer calls it.  Its primal feasibility is held to ``_TARGET``:
+    HiGHS's 1e-7 is coarse on weak links.
     """
     return _highs(lp, "highs", primal_feasibility_tolerance=_TARGET)
 
@@ -805,18 +775,6 @@ _HIGHS_STATUSES = {
 }
 
 
-def _highs_columns(lp: StandardFormLP) -> CsrMatrix:
-    """``[a_ub; a_eq]`` by columns, as the row form of its transpose: row
-    indices ascending within each column and stored zeros kept, which is
-    what linprog's ``csc_array(vstack(...))`` gives HiGHS."""
-    return CsrMatrix.from_coo(
-        np.concatenate([lp.a_ub.data, lp.a_eq.data]),
-        np.concatenate([lp.a_ub.indices, lp.a_eq.indices]),
-        np.concatenate([lp.a_ub._rows, lp.a_eq._rows + lp.num_ineq]),
-        (lp.num_vars, lp.num_ineq + lp.num_eq),
-    )
-
-
 def _highs(lp: StandardFormLP, method: str, **options) -> LpResult:
     """Solve with HiGHS as ``scipy.optimize.linprog`` does for ``method``
     (``"highs"`` or ``"highs-ipm"``) and ``options``, on HiGHS's compiled
@@ -836,14 +794,15 @@ def _highs_model(lp: StandardFormLP, method: str, **options):
     and ``options``, and the model status of a pass HiGHS rejected (None
     when it took both)."""
     core = _highs_core()
-    cols = _highs_columns(lp)
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
     model.num_row_ = model.a_matrix_.num_row_ = lp.num_ineq + lp.num_eq
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = cols.indptr
-    model.a_matrix_.index_ = cols.indices
-    model.a_matrix_.value_ = cols.data
+    # [a_ub; a_eq] by rows as stored: HiGHS turns it into columns with row
+    # indices ascending and stored zeros kept, the matrix linprog passes
+    model.a_matrix_.format_ = core.MatrixFormat.kRowwise
+    model.a_matrix_.start_ = np.concatenate([lp.a_ub.indptr, lp.a_eq.indptr[1:] + lp.a_ub.nnz])
+    model.a_matrix_.index_ = np.concatenate([lp.a_ub.indices, lp.a_eq.indices])
+    model.a_matrix_.value_ = np.concatenate([lp.a_ub.data, lp.a_eq.data])
     model.col_cost_ = -lp.c
 
     def finite_or_highs_inf(arr):
@@ -901,72 +860,53 @@ def _highs_result(lp: StandardFormLP, highs, failed=None) -> LpResult:
                              z_lower, z_upper, iterations, message)
 
 
-class _WarmHighs:
-    """A HiGHS model of one layout (the constraint matrices, ``b_eq`` and
-    the bounds) and the LP it last solved."""
-
-    def __init__(self, lp: StandardFormLP) -> None:
-        self.highs, failed = _highs_model(lp, "highs-ipm")
-        self.lp = lp
-        self.result = _highs_result(lp, self.highs, failed)
-        # re-solves start from the last basis, which only the simplex uses
-        self.highs.setOptionValue("solver", "simplex")
-
-    def holds_layout_of(self, lp: StandardFormLP) -> bool:
-        layout = (self.lp.a_ub, self.lp.a_eq, self.lp.b_eq, self.lp.lo, self.lp.hi)
-        return all(a is b for a, b in zip(layout, (lp.a_ub, lp.a_eq, lp.b_eq, lp.lo, lp.hi)))
-
-    def resolve(self, lp: StandardFormLP) -> LpResult:
-        """Solve ``lp``, of this model's layout, by the dual simplex from the
-        last basis, changing only the costs and row bounds that differ."""
-        cost = np.flatnonzero(lp.c != self.lp.c)
-        if cost.size:
-            self.highs.changeColsCost(cost.size, cost.astype(np.int32), -lp.c[cost])
-        inf = _highs_core().kHighsInf
-        rows = np.flatnonzero(lp.b_ub != self.lp.b_ub)
-        for row, bound in zip(rows.tolist(), lp.b_ub[rows].tolist()):
-            self.highs.changeRowBounds(row, -inf, bound)
-        self.lp = lp
-        return _highs_result(lp, self.highs)
+# the arrays that make an LP's layout: two LPs of one layout differ only in
+# the objective and the inequality right-hand side
+_LAYOUT = ("a_ub", "a_eq", "b_eq", "lo", "hi")
 
 
 class WarmEngine:
-    """The default engine, with HiGHS models kept for re-solving: create one
-    per run (an ascent or a mission) and pass it as ``SolverOptions.engine``.
+    """The one router of LPs and the one holder of a HiGHS model (see the
+    module docstring): create one per run and pass it as
+    ``SolverOptions.engine``.
 
-    An LP the in-repo interior point takes goes to it, as under
-    :func:`solve_interior_point`.  Every other LP is solved on one HiGHS
-    model per layout.  The first solve of a layout is the one-shot
-    ``highs-ipm`` solve.  Each later solve changes only the costs and the
-    inequality right-hand sides that differ from the last LP, then runs
-    the dual simplex from the last optimal basis, which those changes
-    leave dual feasible (cost changes aside).  On a ``team5x4`` ascent a
-    re-solve takes 16 to 119 pivots where a cold dual simplex takes 240
-    to 330.  A re-solve that does not end optimal is solved again cold.
-
-    The state lives in the object alone: two runs that make the same
-    calls on fresh engines get the same results bit for bit, whatever ran
-    in between.  A warm re-solve agrees with a one-shot solve on the
-    optimal value, but where the optimum is not unique it can end at
-    another optimal vertex, with other duals.
+    A warm re-solve changes only the costs and inequality right-hand
+    sides that differ from the last LP, which leaves the last optimal
+    basis dual feasible (cost changes aside): on a ``team5x4`` ascent it
+    takes 16 to 119 pivots where a cold dual simplex takes 240 to 330.
+    It agrees with a cold solve on the optimal value, but where the
+    optimum is not unique it can end at another vertex, with other
+    duals.  The state lives in the object alone, so two runs that make
+    the same calls on fresh engines get the same results bit for bit.
     """
 
     def __init__(self) -> None:
-        # by inequality matrix, which hashes by identity
-        self._models: dict[CsrMatrix, _WarmHighs] = {}
+        # the HiGHS object of the last LP HiGHS solved to optimality, and that LP
+        self._model = None
+        self._lp: Optional[StandardFormLP] = None
 
     def __call__(self, lp: StandardFormLP, opts: Optional[SolverOptions] = None) -> LpResult:
         if _takes_dense(lp):
-            return solve_interior_point(lp, opts)
-        model = self._models.pop(lp.a_ub, None)
-        result = None
-        if model is not None and model.holds_layout_of(lp):
-            result = model.resolve(lp)
+            return _interior_point(lp)
+        held, result = self._lp, None
+        if held is not None and all(getattr(held, k) is getattr(lp, k) for k in _LAYOUT):
+            cost = np.flatnonzero(lp.c != held.c)
+            if cost.size:
+                self._model.changeColsCost(cost.size, cost.astype(np.int32), -lp.c[cost])
+            inf = _highs_core().kHighsInf
+            rows = np.flatnonzero(lp.b_ub != held.b_ub)
+            for row, bound in zip(rows.tolist(), lp.b_ub[rows].tolist()):
+                self._model.changeRowBounds(row, -inf, bound)
+            result = _highs_result(lp, self._model)
         if result is None or not result.optimal:
-            model = _WarmHighs(lp)
-            result = model.result
+            self._model, failed = _highs_model(lp, "highs-ipm")
+            result = _highs_result(lp, self._model, failed)
+            # re-solves start from the last basis, which only the simplex uses
+            self._model.setOptionValue("solver", "simplex")
         if result.optimal:
-            self._models[lp.a_ub] = model
+            self._lp = lp
+        else:
+            self._model = self._lp = None
         return result
 
 

@@ -44,8 +44,7 @@ _EPIGRAPH_FLOOR = -1e3
 _DROP_TOL = 1e-9
 # the largest team whose flow LP the in-repo interior point solves: the
 # benchmark's fixture ascents (pair, square4, outlier4) rest on its centered
-# duals.  The flow LP of every larger team goes to HiGHS whatever its size,
-# and within a run to the run's warm model
+# duals.  _layout marks the flow LP of every larger team for HiGHS alone
 _DENSE_MAX_AGENTS = 6
 # verify_solution's pass tolerance, and the spare capacity from which a
 # capacity row counts as slack and must carry no price

@@ -16,8 +16,7 @@ real objective.  Pricing is Dantzig by default and switches to Bland's
 rule after a run of degenerate pivots, which makes termination finite.
 ``M`` and the artificial columns are one dense array and the basis
 inverse is kept explicitly and refreshed periodically, which is fast
-at the sizes the interior point takes (``lp._DENSE_MAX_ENTRIES``);
-larger LPs go to HiGHS instead.
+at the sizes the interior point takes (see :mod:`relayflow.lp`).
 
 Basic solutions put every nonbasic variable exactly on a bound, so the
 complementarity of the returned duals is exact, something the

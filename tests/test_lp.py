@@ -364,7 +364,7 @@ def test_interior_point_converges_with_scattered_upper_bounds(seed, monkeypatch)
     ref = scipy_linprog_solve(lp)
     assert ref.optimal
     monkeypatch.setattr(simplex_module, "solve_simplex", forbidden)
-    monkeypatch.setattr(lp_module, "_highs", forbidden)
+    monkeypatch.setattr(lp_module, "_highs_model", forbidden)
     res = solve_interior_point(lp)
     assert res.message == "converged"
     assert abs(res.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
@@ -437,15 +437,15 @@ def test_sparse_path_matches_dense_path_on_boxed_lps(seed, monkeypatch):
 
 @pytest.fixture()
 def linprog_methods(monkeypatch):
-    """The linprog ``method`` of every HiGHS solve."""
+    """The linprog ``method`` of every HiGHS model built."""
     methods = []
-    real_highs = lp_module._highs
+    real_model = lp_module._highs_model
 
-    def spying_highs(lp, method, **options):
+    def spying_model(lp, method, **options):
         methods.append(method)
-        return real_highs(lp, method, **options)
+        return real_model(lp, method, **options)
 
-    monkeypatch.setattr(lp_module, "_highs", spying_highs)
+    monkeypatch.setattr(lp_module, "_highs_model", spying_model)
     return methods
 
 
@@ -472,16 +472,16 @@ def assert_goes_to_highs_ipm_alone(lp, monkeypatch, linprog_methods):
     # no in-repo iterations first and no simplex after: HiGHS's interior
     # point with crossover solves the LP, and its result comes back as is
     results = []
-    real_highs = lp_module._highs
+    real_result = lp_module._highs_result
 
-    def spying_highs(lp, method):
-        results.append(real_highs(lp, method))
+    def spying_result(lp, highs, failed=None):
+        results.append(real_result(lp, highs, failed))
         return results[-1]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an in-repo engine ran above the threshold")
 
-    monkeypatch.setattr(lp_module, "_highs", spying_highs)
+    monkeypatch.setattr(lp_module, "_highs_result", spying_result)
     monkeypatch.setattr(lp_module, "_interior_point", forbidden)
     monkeypatch.setattr(simplex_module, "solve_simplex", forbidden)
     res = solve_interior_point(lp)
@@ -519,7 +519,7 @@ def test_the_pair_flow_lp_goes_to_the_interior_point(monkeypatch, pair_scenario)
         raise AssertionError("a flow LP went to HiGHS")
 
     monkeypatch.setattr(lp_module, "_interior_point", spying_interior_point)
-    monkeypatch.setattr(lp_module, "_highs", forbidden)
+    monkeypatch.setattr(lp_module, "_highs_model", forbidden)
     sol = solve_mcfp(build_instance(pair_scenario, np.ones(2)))
     assert len(calls) == 1 and sol.lp is calls[0]
     assert sol.lp_result.message == "converged"
@@ -628,9 +628,75 @@ def test_warm_engine_solves_cold_when_a_re_solve_is_not_optimal(monkeypatch, tea
     lps = team5x4_lps(team5x4)
     engine = lp_module.WarmEngine()
     engine(lps[0])
-    monkeypatch.setattr(lp_module._WarmHighs, "resolve",
-                        lambda self, lp: LpResult.without_point(lp, "iteration_limit", 0, "injected"))
+    injected = []
+    real_result = lp_module._highs_result
+
+    def failing_once(lp, highs, failed=None):
+        # the first answer read after the patch is the warm re-solve's
+        if not injected:
+            injected.append(LpResult.without_point(lp, "iteration_limit", 0, "injected"))
+            return injected[0]
+        return real_result(lp, highs, failed)
+
+    monkeypatch.setattr(lp_module, "_highs_result", failing_once)
     assert_same_bits(engine(lps[1]), lp_module._highs(lps[1], "highs-ipm"))
+    assert len(injected) == 1
+
+
+def test_warm_engine_solves_a_layout_switch_cold_and_re_solves_a_repeat_warm(monkeypatch, team5x4, mission_team):
+    # the engine holds one model: each switch of layout builds a new one,
+    # and only an LP of the layout it holds is re-solved on it
+    a0, a1, a2 = team5x4_lps(team5x4)
+    b, _ = build_lp(build_instance(*mission_team))
+    assert b.a_ub is not a0.a_ub
+    cold = [lp_module._highs(lp, "highs-ipm") for lp in (a0, b, a1)]
+    builds = []
+    real_model = lp_module._highs_model
+
+    def counting_model(lp, method, **options):
+        builds.append(lp)
+        return real_model(lp, method, **options)
+
+    monkeypatch.setattr(lp_module, "_highs_model", counting_model)
+    engine = lp_module.WarmEngine()
+    for lp, want in zip((a0, b, a1), cold):
+        assert_same_bits(engine(lp), want)
+        assert builds[-1] is lp
+    assert len(builds) == 3
+    warm = engine(a2)
+    assert len(builds) == 3  # a repeat of the held layout builds no model
+    assert warm.optimal and check_kkt(a2, warm).passed(1e-6)
+
+
+def test_one_shot_solves_of_lps_marked_for_highs_are_the_highs_ipm_solve():
+    lp = boxed_lp(np.random.default_rng(3), 8, 5)
+    assert lp_module._takes_dense(lp)
+    lp._highs_only = True
+    assert_same_bits(solve_interior_point(lp), lp_module._highs(lp, "highs-ipm"))
+
+
+@pytest.mark.parametrize("rows, path", [(120, "interior point"), (130, "highs-ipm")])
+def test_lps_of_more_than_120_rows_go_to_highs(monkeypatch, rows, path):
+    # from about 130 rows OpenBLAS spreads the normal matrix over its
+    # threads and the interior point slows down 10 to 20 times
+    lp = boxed_lp(np.random.default_rng(rows), 100, rows)
+    assert lp.num_vars * lp.num_ineq <= lp_module._DENSE_MAX_ENTRIES
+    paths = []
+    real_interior_point, real_model = lp_module._interior_point, lp_module._highs_model
+
+    def spying_interior_point(lp):
+        paths.append("interior point")
+        return real_interior_point(lp)
+
+    def spying_model(lp, method, **options):
+        paths.append(method)
+        return real_model(lp, method, **options)
+
+    monkeypatch.setattr(lp_module, "_interior_point", spying_interior_point)
+    monkeypatch.setattr(lp_module, "_highs_model", spying_model)
+    res = solve_interior_point(lp)
+    assert paths == [path]
+    assert res.optimal and check_kkt(lp, res).passed(1e-6)
 
 
 def test_run_options_keep_a_chosen_engine():

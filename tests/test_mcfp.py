@@ -488,13 +488,13 @@ def test_team25x10_spawn_seed_1_solves_verified(model, monkeypatch):
     # HiGHS's interior point with crossover takes it (about 2 s on a
     # 2-core host)
     methods = []
-    real_highs = lp_module._highs
+    real_model = lp_module._highs_model
 
-    def spying_highs(lp, method):
+    def spying_model(lp, method, **options):
         methods.append(method)
-        return real_highs(lp, method)
+        return real_model(lp, method, **options)
 
-    monkeypatch.setattr(lp_module, "_highs", spying_highs)
+    monkeypatch.setattr(lp_module, "_highs_model", spying_model)
     scenario = spawn_scenario(ScenarioConfig(num_task=25, num_relay=10, rng_seed=1), model)
     inst = build_instance(scenario, weight_preset("adhoc", 25))
     sol = solve_mcfp(inst)
